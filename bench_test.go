@@ -639,26 +639,16 @@ func BenchmarkWorkersAddConduits(b *testing.B) {
 	}
 }
 
-// ---- Scenario engine: clone vs overlay evaluation paths. ----
+// ---- Scenario engine: clone vs overlay evaluation. ----
 //
-// Each pair below runs the same workload through the retained
-// clone-per-scenario reference path and the copy-on-write overlay
-// path (see DESIGN.md "Snapshot overlays"). The two paths produce
+// Each benchmark below has an "overlay" sub-benchmark here, timing the
+// engine's copy-on-write evaluation (see DESIGN.md "Snapshot
+// overlays"), and a "clone" sub-benchmark of the same name in
+// internal/scenario/reference_bench_test.go, timing the
+// clone-per-scenario test oracle on the same workload. The two produce
 // byte-identical Result JSON — the differential suite in
 // internal/scenario pins that — so the pair measures pure evaluation
-// cost: the overlay/clone ns/op ratio in BENCH_obs.json is the
-// tentpole's throughput claim.
-
-// scenarioModes names the two evaluation paths for sub-benchmarks.
-func scenarioModes() []struct {
-	name  string
-	clone bool
-} {
-	return []struct {
-		name  string
-		clone bool
-	}{{"clone", true}, {"overlay", false}}
-}
+// cost.
 
 // scenarioSweepBatch is a representative disaster grid: a sweep of
 // localized circular disaster footprints centered on map nodes
@@ -690,32 +680,30 @@ func scenarioSweepBatch() []scenario.Scenario {
 }
 
 // BenchmarkScenarioEvaluate times one what-if evaluation per
-// iteration on a warmed engine, per path.
+// iteration on a warmed engine.
 func BenchmarkScenarioEvaluate(b *testing.B) {
 	sharedStudy()
 	sc := scenario.Scenario{CutMostShared: 5}
 	ctx := context.Background()
-	for _, mode := range scenarioModes() {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42, CloneEval: mode.clone})
-			if _, err := eng.Evaluate(ctx, sc); err != nil { // warm: baseline memo, scratch pools
+	b.Run("overlay", func(b *testing.B) {
+		eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42})
+		if _, err := eng.Evaluate(ctx, sc); err != nil { // warm: baseline memo, scratch pools
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Evaluate(ctx, sc); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Evaluate(ctx, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkScenarioEvaluateCapacity times a circular-disaster
 // evaluation — the workload whose cost the capacity stage (gravity
-// demands + max-flow per touched pair) rides on — per path, on a
-// warmed engine. The lost-gbps metric is the severity the heatmap
-// plots; it is byte-identical across modes by the differential suite.
+// demands + max-flow per touched pair) rides on — on a warmed engine.
+// The lost-gbps metric is the severity the heatmap plots; it is
+// byte-identical to the clone half's by the differential suite.
 func BenchmarkScenarioEvaluateCapacity(b *testing.B) {
 	sharedStudy()
 	loc := benchRes.Map.Node(0).Loc
@@ -723,25 +711,23 @@ func BenchmarkScenarioEvaluateCapacity(b *testing.B) {
 		Regions: []scenario.Region{{Lat: loc.Lat, Lon: loc.Lon, RadiusKm: 150}},
 	}
 	ctx := context.Background()
-	for _, mode := range scenarioModes() {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42, CloneEval: mode.clone})
-			r, err := eng.Evaluate(ctx, sc) // warm: baseline + capacity memo
-			if err != nil {
+	b.Run("overlay", func(b *testing.B) {
+		eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42})
+		r, err := eng.Evaluate(ctx, sc) // warm: baseline + capacity memo
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.LostTraffic == nil {
+			b.Fatal("no lost-traffic delta")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r, err = eng.Evaluate(ctx, sc); err != nil {
 				b.Fatal(err)
 			}
-			if r.LostTraffic == nil {
-				b.Fatal("no lost-traffic delta")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if r, err = eng.Evaluate(ctx, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.LostTraffic.LostGbps, "lost-gbps")
-		})
-	}
+		}
+		b.ReportMetric(r.LostTraffic.LostGbps, "lost-gbps")
+	})
 }
 
 // BenchmarkTracingOverhead pins the flight recorder's evaluation-path
@@ -825,30 +811,28 @@ func BenchmarkGridSweep(b *testing.B) {
 }
 
 // BenchmarkScenarioSweep times the full disaster-grid batch through
-// Sweep at all CPUs, per path; scenarios/op normalizes the grid size.
+// Sweep at all CPUs; scenarios/op normalizes the grid size.
 func BenchmarkScenarioSweep(b *testing.B) {
 	sharedStudy()
 	batch := scenarioSweepBatch()
 	ctx := context.Background()
-	for _, mode := range scenarioModes() {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42, CloneEval: mode.clone})
-			warm := scenario.Sweep(ctx, eng, batch[:1], 1)
-			if warm[0].Err != "" {
-				b.Fatal(warm[0].Err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := scenario.Sweep(ctx, eng, batch, 0)
-				for j := range out {
-					if out[j].Err != "" {
-						b.Fatal(out[j].Err)
-					}
+	b.Run("overlay", func(b *testing.B) {
+		eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42})
+		warm := scenario.Sweep(ctx, eng, batch[:1], 1)
+		if warm[0].Err != "" {
+			b.Fatal(warm[0].Err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out := scenario.Sweep(ctx, eng, batch, 0)
+			for j := range out {
+				if out[j].Err != "" {
+					b.Fatal(out[j].Err)
 				}
 			}
-			b.ReportMetric(float64(len(batch)), "scenarios/op")
-		})
-	}
+		}
+		b.ReportMetric(float64(len(batch)), "scenarios/op")
+	})
 }
 
 // BenchmarkLatencyAtlas pins the atlas speedup claim: the all-pairs

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"intertubes/internal/fiber"
+	"intertubes/internal/graph"
 	"intertubes/internal/mitigate"
 	"intertubes/internal/records"
 	"intertubes/internal/risk"
@@ -233,7 +234,7 @@ func TestIntegrationLatencyAgainstDirectComputation(t *testing.T) {
 		if i >= 10 {
 			break
 		}
-		p, ok := g.ShortestPath(int(pl.A), int(pl.B), m.LitWeight())
+		p, ok := g.ShortestPathWS(graph.NewWorkspace(), int(pl.A), int(pl.B), m.LitWeight())
 		if !ok {
 			t.Fatalf("pair %d unreachable", i)
 		}

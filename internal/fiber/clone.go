@@ -1,10 +1,10 @@
 package fiber
 
-// clone.go extends the Map with the mutation primitives the what-if
-// scenario engine (internal/scenario) perturbs a copy of the baseline
-// map with: deep cloning, tenancy removal, and conduit darkening.
-// The baseline Map built by mapbuilder stays immutable; every scenario
-// evaluates against its own clone.
+// clone.go extends the Map with the mutation primitives that perturb
+// a copy of the baseline map: deep cloning, tenancy removal, and
+// conduit darkening. The baseline Map built by mapbuilder stays
+// immutable; Overlay.Materialize and the scenario engine's
+// clone-per-scenario test oracle apply a perturbation to a clone.
 
 // Clone returns a deep copy of the map: nodes, conduits (tenancy
 // slices included), and the lookup indexes are all fresh. Geometry

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"intertubes/internal/geo"
+	"intertubes/internal/graph"
 )
 
 func testMap(t *testing.T) (*Map, []NodeID, []ConduitID) {
@@ -177,12 +178,12 @@ func TestGraphAndWeights(t *testing.T) {
 	}
 	// Level 3 cannot use the Sprint-only conduit: SLC->Cheyenne must
 	// route via Denver.
-	p, ok := g.ShortestPath(int(nodes[1]), int(nodes[2]), m.TenantWeight("Level 3"))
+	p, ok := g.ShortestPathWS(graph.NewWorkspace(), int(nodes[1]), int(nodes[2]), m.TenantWeight("Level 3"))
 	if !ok || p.Hops() != 2 {
 		t.Errorf("Level 3 path = %+v, %v", p, ok)
 	}
 	// Under LitWeight the direct conduit is usable.
-	p, ok = g.ShortestPath(int(nodes[1]), int(nodes[2]), m.LitWeight())
+	p, ok = g.ShortestPathWS(graph.NewWorkspace(), int(nodes[1]), int(nodes[2]), m.LitWeight())
 	if !ok || p.Hops() != 1 {
 		t.Errorf("lit path = %+v, %v", p, ok)
 	}
@@ -192,7 +193,7 @@ func TestLitWeightExcludesEmptyConduits(t *testing.T) {
 	m, nodes, _ := testMap(t)
 	// No tenants anywhere: all conduits unlit.
 	g := m.Graph()
-	if _, ok := g.ShortestPath(int(nodes[0]), int(nodes[1]), m.LitWeight()); ok {
+	if _, ok := g.ShortestPathWS(graph.NewWorkspace(), int(nodes[0]), int(nodes[1]), m.LitWeight()); ok {
 		t.Error("path should not exist over unlit conduits")
 	}
 }

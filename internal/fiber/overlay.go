@@ -187,8 +187,8 @@ func (o *Overlay) Plus() View { return overlayView{o: o, dark: false} }
 func (o *Overlay) Final() View { return overlayView{o: o, dark: true} }
 
 // Materialize replays the perturbation through the mutation primitives
-// onto a deep clone of the base, producing the very map the clone
-// evaluation path builds. The heavyweight consumers (latency studies,
+// onto a deep clone of the base, producing the very map a
+// clone-per-scenario evaluation builds. The heavyweight consumers (latency studies,
 // traffic campaigns) take a concrete *Map; overlay evaluations
 // materialize one only when those stages are actually requested.
 func (o *Overlay) Materialize() *Map {

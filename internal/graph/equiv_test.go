@@ -277,6 +277,7 @@ func equalPaths(a, b Path) bool {
 
 func TestDijkstraMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	ws := NewWorkspace()
 	for trial := 0; trial < 300; trial++ {
 		g := randomMultigraph(rng)
 		adj := refAdjacency(g)
@@ -287,7 +288,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 		src := rng.Intn(g.NumVertices())
 		wantDist, wantParent := refDijkstra(g, adj, src, wf)
 
-		got := g.ShortestDistances(src, wf)
+		got := g.ShortestDistancesWS(ws, src, wf, nil)
 		for v := range wantDist {
 			if got[v] != wantDist[v] {
 				t.Fatalf("trial %d: dist[%d] = %v, want %v", trial, v, got[v], wantDist[v])
@@ -295,7 +296,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 		}
 		for dst := 0; dst < g.NumVertices(); dst++ {
 			wantPath, wantOK := refTracePath(g, wantDist, wantParent, src, dst)
-			gotPath, gotOK := g.ShortestPath(src, dst, wf)
+			gotPath, gotOK := g.ShortestPathWS(ws, src, dst, wf)
 			if gotOK != wantOK {
 				t.Fatalf("trial %d: ShortestPath(%d,%d) ok=%v, want %v", trial, src, dst, gotOK, wantOK)
 			}
@@ -423,7 +424,7 @@ func TestMinimaxMatchesBruteforce(t *testing.T) {
 				break
 			}
 		}
-		got := g.MinimaxDistances(src, nil)
+		got := g.MinimaxDistancesWS(NewWorkspace(), src, nil, nil)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("trial %d: minimax[%d] = %v, want %v", trial, v, got[v], want[v])

@@ -145,13 +145,6 @@ func (t *topology) neighbors(v int32) []halfEdge {
 	return t.half[t.off[v]:t.off[v+1]]
 }
 
-// Degree returns the number of incident edge endpoints at v
-// (a self-loop counts once).
-func (g *Graph) Degree(v int) int {
-	t := g.topoView()
-	return int(t.off[v+1] - t.off[v])
-}
-
 // Neighbors calls fn for every incident edge of v with the neighbor
 // vertex and edge id.
 func (g *Graph) Neighbors(v int, fn func(to, edgeID int)) {
@@ -186,46 +179,14 @@ func (p Path) Clone() Path {
 // default weight.
 //
 // The kernel materializes wf into a flat table once per sweep (see
-// Weights), so wf is called exactly once per edge id per query — it
-// must be a pure function of the edge id for the query's duration.
+// Workspace.materialize), so wf is called exactly once per edge id per
+// query — it must be a pure function of the edge id for the query's
+// duration.
 type WeightFunc func(edgeID int) float64
 
-func (g *Graph) weightOf(wf WeightFunc, id int) float64 {
-	if wf == nil {
-		return g.edges[id].Weight
-	}
-	return wf(id)
-}
-
-// Weights materializes wf into dst (resized as needed): dst[e] = wf(e)
-// for every edge id, with nil wf meaning default weights. Hot loops
-// index the table instead of calling a closure per edge relaxation.
-func (g *Graph) Weights(wf WeightFunc, dst []float64) []float64 {
-	ne := len(g.edges)
-	if cap(dst) < ne {
-		dst = make([]float64, ne)
-	}
-	dst = dst[:ne]
-	if wf == nil {
-		copy(dst, g.topoView().defWeights)
-		return dst
-	}
-	for i := range dst {
-		dst[i] = wf(i)
-	}
-	return dst
-}
-
-// ShortestPath returns the minimum-weight path from src to dst under
-// wf, or ok=false if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int, wf WeightFunc) (Path, bool) {
-	ws := getWS()
-	defer putWS(ws)
-	return g.ShortestPathWS(ws, src, dst, wf)
-}
-
-// ShortestPathWS is ShortestPath using the caller's workspace. Only
-// the returned Path is allocated.
+// ShortestPathWS returns the minimum-weight path from src to dst under
+// wf, or ok=false if dst is unreachable (or either endpoint is out of
+// range), with all scratch in ws. Only the returned Path is allocated.
 func (g *Graph) ShortestPathWS(ws *Workspace, src, dst int, wf WeightFunc) (Path, bool) {
 	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
 		return Path{}, false
@@ -239,16 +200,9 @@ func (g *Graph) ShortestPathWS(ws *Workspace, src, dst int, wf WeightFunc) (Path
 	return g.tracePath(ws, src, dst), true
 }
 
-// ShortestDistance returns the minimum path weight from src to dst
+// ShortestDistanceWS returns the minimum path weight from src to dst
 // under wf (ok=false if unreachable) without materializing the path.
-func (g *Graph) ShortestDistance(src, dst int, wf WeightFunc) (float64, bool) {
-	ws := getWS()
-	defer putWS(ws)
-	return g.ShortestDistanceWS(ws, src, dst, wf)
-}
-
-// ShortestDistanceWS is ShortestDistance using the caller's workspace:
-// zero allocations in the steady state.
+// With a reused workspace it allocates nothing.
 func (g *Graph) ShortestDistanceWS(ws *Workspace, src, dst int, wf WeightFunc) (float64, bool) {
 	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
 		return math.Inf(1), false
@@ -262,17 +216,10 @@ func (g *Graph) ShortestDistanceWS(ws *Workspace, src, dst int, wf WeightFunc) (
 	return ws.dist[dst], true
 }
 
-// ShortestDistances runs Dijkstra from src and returns the full
-// distance array (unreachable vertices get +Inf).
-func (g *Graph) ShortestDistances(src int, wf WeightFunc) []float64 {
-	ws := getWS()
-	defer putWS(ws)
-	return g.ShortestDistancesWS(ws, src, wf, nil)
-}
-
-// ShortestDistancesWS is ShortestDistances using the caller's
-// workspace, writing into dst (resized as needed; nil allocates). With
-// a reused workspace and a caller-owned dst it is allocation-free.
+// ShortestDistancesWS runs Dijkstra from src and writes the full
+// distance array into dst (resized as needed; nil allocates;
+// unreachable vertices get +Inf). With a reused workspace and a
+// caller-owned dst it is allocation-free.
 func (g *Graph) ShortestDistancesWS(ws *Workspace, src int, wf WeightFunc, dst []float64) []float64 {
 	t := g.topoView()
 	weights := ws.materialize(g, t, wf)
@@ -405,30 +352,13 @@ func (g *Graph) Components() [][]int {
 	return out
 }
 
-// Connected reports whether u and v are in the same component
-// (ignoring weights; +Inf default weights still connect).
-func (g *Graph) Connected(u, v int) bool {
-	if u == v {
-		return true
-	}
-	p, ok := g.ShortestPath(u, v, func(int) float64 { return 1 })
-	return ok && len(p.Edges) > 0
-}
-
-// MinimaxDistances computes, for every vertex, the minimum over all
+// MinimaxDistancesWS computes, for every vertex, the minimum over all
 // paths from src of the maximum edge weight along the path (the
-// bottleneck shortest path). Unreachable vertices get +Inf. The §5
-// shared-risk analyses use it with per-conduit sharing degrees as
-// weights: the result is the best achievable worst-case sharing when
-// routing from src.
-func (g *Graph) MinimaxDistances(src int, wf WeightFunc) []float64 {
-	ws := getWS()
-	defer putWS(ws)
-	return g.MinimaxDistancesWS(ws, src, wf, nil)
-}
-
-// MinimaxDistancesWS is MinimaxDistances using the caller's workspace,
-// writing into dst (resized as needed; nil allocates).
+// bottleneck shortest path), writing into dst (resized as needed; nil
+// allocates). Unreachable vertices get +Inf. The §5 shared-risk
+// analyses use it with per-conduit sharing degrees as weights: the
+// result is the best achievable worst-case sharing when routing from
+// src.
 func (g *Graph) MinimaxDistancesWS(ws *Workspace, src int, wf WeightFunc, dst []float64) []float64 {
 	t := g.topoView()
 	weights := ws.materialize(g, t, wf)

@@ -24,7 +24,7 @@ func buildDiamond() *Graph {
 
 func TestShortestPathBasic(t *testing.T) {
 	g := buildDiamond()
-	p, ok := g.ShortestPath(0, 3, nil)
+	p, ok := g.ShortestPathWS(NewWorkspace(), 0, 3, nil)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -39,17 +39,17 @@ func TestShortestPathBasic(t *testing.T) {
 
 func TestShortestPathUnreachable(t *testing.T) {
 	g := buildDiamond()
-	if _, ok := g.ShortestPath(0, 4, nil); ok {
+	if _, ok := g.ShortestPathWS(NewWorkspace(), 0, 4, nil); ok {
 		t.Error("vertex 4 must be unreachable")
 	}
-	if _, ok := g.ShortestPath(-1, 2, nil); ok {
+	if _, ok := g.ShortestPathWS(NewWorkspace(), -1, 2, nil); ok {
 		t.Error("out-of-range src must fail")
 	}
 }
 
 func TestShortestPathSelf(t *testing.T) {
 	g := buildDiamond()
-	p, ok := g.ShortestPath(2, 2, nil)
+	p, ok := g.ShortestPathWS(NewWorkspace(), 2, 2, nil)
 	if !ok || p.Hops() != 0 || p.Weight != 0 {
 		t.Errorf("self path = %+v, %v", p, ok)
 	}
@@ -58,7 +58,7 @@ func TestShortestPathSelf(t *testing.T) {
 func TestWeightFuncOverridesAndBans(t *testing.T) {
 	g := buildDiamond()
 	// Ban edge 0 (0-1); path must go through 2.
-	p, ok := g.ShortestPath(0, 3, func(eid int) float64 {
+	p, ok := g.ShortestPathWS(NewWorkspace(), 0, 3, func(eid int) float64 {
 		if eid == 0 {
 			return math.Inf(1)
 		}
@@ -79,7 +79,7 @@ func TestParallelEdges(t *testing.T) {
 	g := New(2)
 	slow := g.AddEdge(0, 1, 10)
 	fast := g.AddEdge(0, 1, 2)
-	p, ok := g.ShortestPath(0, 1, nil)
+	p, ok := g.ShortestPathWS(NewWorkspace(), 0, 1, nil)
 	if !ok || p.Edges[0] != fast {
 		t.Errorf("should pick the fast parallel edge, got %+v", p)
 	}
@@ -95,7 +95,7 @@ func TestParallelEdges(t *testing.T) {
 
 func TestShortestDistances(t *testing.T) {
 	g := buildDiamond()
-	dist := g.ShortestDistances(0, nil)
+	dist := g.ShortestDistancesWS(NewWorkspace(), 0, nil, nil)
 	want := []float64{0, 1, 1, 2, math.Inf(1)}
 	for i, w := range want {
 		if dist[i] != w {
@@ -113,8 +113,8 @@ func TestComponents(t *testing.T) {
 	if len(comps[0]) != 4 || len(comps[1]) != 1 {
 		t.Errorf("sizes = %d,%d", len(comps[0]), len(comps[1]))
 	}
-	if !g.Connected(0, 3) || g.Connected(0, 4) {
-		t.Error("connectivity wrong")
+	if comps[1][0] != 4 {
+		t.Errorf("isolated component = %v, want [4]", comps[1])
 	}
 }
 
@@ -234,7 +234,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Float64()*10)
 		}
 		src := rng.Intn(n)
-		got := g.ShortestDistances(src, nil)
+		got := g.ShortestDistancesWS(NewWorkspace(), src, nil, nil)
 		want := bellmanFord(g, src)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-9 {
@@ -323,7 +323,7 @@ func TestWeightFuncNilUsesDefault(t *testing.T) {
 	if err := quick.Check(func(w uint8) bool {
 		g := New(2)
 		g.AddEdge(0, 1, float64(w))
-		p, ok := g.ShortestPath(0, 1, nil)
+		p, ok := g.ShortestPathWS(NewWorkspace(), 0, 1, nil)
 		return ok && p.Weight == float64(w)
 	}, nil); err != nil {
 		t.Error(err)
@@ -337,7 +337,7 @@ func TestMinimaxDistances(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 4)
 	g.AddEdge(2, 3, 3)
-	d := g.MinimaxDistances(0, nil)
+	d := g.MinimaxDistancesWS(NewWorkspace(), 0, nil, nil)
 	if d[3] != 4 {
 		t.Errorf("minimax to 3 = %v, want 4 (via vertex 2)", d[3])
 	}
@@ -351,7 +351,7 @@ func TestMinimaxDistances(t *testing.T) {
 		}
 		return g.Edge(eid).Weight
 	}
-	d = g.MinimaxDistances(0, banned)
+	d = g.MinimaxDistancesWS(NewWorkspace(), 0, banned, nil)
 	if d[3] != 9 {
 		t.Errorf("minimax with ban = %v, want 9", d[3])
 	}
@@ -371,7 +371,7 @@ func TestMinimaxMatchesBruteForce(t *testing.T) {
 				g.AddEdge(u, v, float64(1+rng.Intn(9)))
 			}
 		}
-		got := g.MinimaxDistances(0, nil)
+		got := g.MinimaxDistancesWS(NewWorkspace(), 0, nil, nil)
 		// Brute force via repeated relaxation.
 		want := make([]float64, n)
 		for i := range want {

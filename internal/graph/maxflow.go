@@ -43,13 +43,6 @@ func (w *Workspace) maxflow() *maxflowScratch {
 	return w.mf
 }
 
-// MaxFlow is the pooled-workspace convenience entry for MaxFlowWS.
-func (g *Graph) MaxFlow(src, dst int, caps []float64, extra []Edge) float64 {
-	ws := getWS()
-	defer putWS(ws)
-	return g.MaxFlowWS(ws, src, dst, caps, extra)
-}
-
 // MaxFlowWS returns the maximum s-t flow of the graph under the given
 // edge capacities, with all scratch in ws:
 //

@@ -2,9 +2,9 @@ package graph
 
 import "math"
 
-// mincut.go implements the Stoer-Wagner global minimum cut, used to
-// answer the paper's motivating security question: how many conduit
-// cuts would it take to partition a backbone?
+// mincut_dense_test.go keeps the textbook dense Stoer-Wagner global
+// minimum cut (O(V²) matrix, O(V³) phases) as the test oracle the
+// sparse workspace kernel GlobalMinCutWS is compared against.
 
 // GlobalMinCut returns the weight of the minimum cut of the graph
 // restricted to the given vertices, under wf (edges with +Inf weight
@@ -117,4 +117,13 @@ func denseConnected(w [][]float64) bool {
 		}
 	}
 	return count == n
+}
+
+// weightOf is the per-query weight closure rule the reference
+// implementations apply edge by edge: nil wf means the default weight.
+func (g *Graph) weightOf(wf WeightFunc, id int) float64 {
+	if wf == nil {
+		return g.edges[id].Weight
+	}
+	return wf(id)
 }

@@ -2,22 +2,22 @@ package graph
 
 import "math"
 
-// mincutws.go is the overlay-aware, workspace-backed counterpart of
-// mincut.go. The scenario engine answers "how many conduit cuts
-// partition this backbone" for thousands of perturbed topologies per
-// sweep; the dense Stoer-Wagner in GlobalMinCut rebuilds an O(V²)
-// matrix per call and runs O(V³) phases, which dominated evaluation
-// time. GlobalMinCutWS keeps the base CSR shared and immutable: the
-// caller materializes one weight table per query (a flat copy of a
-// cached base table plus +Inf masks, the same trick Yen's spur loop
-// uses) and overlay edges that do not exist in the base graph ride
-// along as an explicit extra list. All scratch lives in the Workspace.
+// mincutws.go implements the Stoer-Wagner global minimum cut, used to
+// answer the paper's motivating security question: how many conduit
+// cuts would it take to partition a backbone? The scenario engine asks
+// it for thousands of perturbed topologies per sweep, so the kernel
+// keeps the base CSR shared and immutable: the caller materializes one
+// weight table per query (a flat copy of a cached base table plus +Inf
+// masks, the same trick Yen's spur loop uses) and overlay edges that
+// do not exist in the base graph ride along as an explicit extra list.
+// All scratch lives in the Workspace.
 //
 // The implementation is Stoer-Wagner over union-find supervertices
-// with lazy-heap maximum-adjacency phases: O(V·E·log V) instead of
-// O(V³). Any maximum-adjacency ordering yields the exact global
-// minimum cut, and the minimum-cut *value* of a graph is unique, so
-// the result equals GlobalMinCut's bit for bit whenever edge-weight
+// with lazy-heap maximum-adjacency phases: O(V·E·log V) instead of the
+// textbook dense O(V³). Any maximum-adjacency ordering yields the
+// exact global minimum cut, and the minimum-cut *value* of a graph is
+// unique, so the result equals the dense kernel's (kept as a test
+// oracle in mincut_dense_test.go) bit for bit whenever edge-weight
 // sums are exactly representable (unit weights, the scenario case).
 
 // mincutScratch is the reusable state of GlobalMinCutWS, owned by a
@@ -60,20 +60,18 @@ func (w *Workspace) mincut() *mincutScratch {
 }
 
 // GlobalMinCutWS returns the weight of the minimum cut of the graph
-// restricted to the given vertices, like GlobalMinCut, but with all
-// scratch in ws and the query's edge weights supplied as data instead
-// of a closure:
+// restricted to the given vertices, with all scratch in ws and the
+// query's edge weights supplied as data:
 //
 //   - weights[eid] is the traversal cost of base edge eid (+Inf or 0
-//     excludes it, matching the dense kernel's usable-edge rule);
+//     excludes it);
 //   - extra lists overlay edges absent from the base graph (new
 //     conduit builds); their Weight fields are used directly.
 //
-// The restriction, exclusion, and connectivity semantics match
-// GlobalMinCut exactly: fewer than two selected vertices returns
-// (0, false), a disconnected restriction returns (0, true), and with
-// integral weights the returned value is bit-identical to the dense
-// kernel's (the minimum-cut value of a graph is unique).
+// Parallel edges sum. Fewer than two selected vertices returns
+// (0, false) and a disconnected restriction returns (0, true). With
+// unit edge weights the result is the minimum number of edges
+// (conduits) whose removal disconnects the vertex set.
 func (g *Graph) GlobalMinCutWS(ws *Workspace, vertices []int, weights []float64, extra []Edge) (float64, bool) {
 	n := len(vertices)
 	if n < 2 {
@@ -267,7 +265,7 @@ func (g *Graph) GlobalMinCutWS(ws *Workspace, vertices []int, weights []float64,
 		}
 		if added < remaining {
 			// Some alive supervertex was unreachable: the restriction
-			// is disconnected, and the dense kernel reports cut 0.
+			// is disconnected, a cut of 0.
 			return 0, true
 		}
 		if lastKey < best {

@@ -1,7 +1,5 @@
 package graph
 
-import "math"
-
 // tree.go exposes the shortest-path tree a full Dijkstra settles as a
 // queryable structure: run ShortestTreeWS once per source, then trace
 // any number of destinations off the parent array. This is the
@@ -14,7 +12,7 @@ import "math"
 
 // ShortestTreeWS runs a full single-source Dijkstra from src under
 // wf, leaving the settled distances and parent edges in ws for
-// TreeDistWS/TreePathWS. The tree is valid until the workspace's next
+// TreePathWS. The tree is valid until the workspace's next
 // query of any kind. Zero allocations with a warmed workspace.
 func (g *Graph) ShortestTreeWS(ws *Workspace, src int, wf WeightFunc) {
 	t := g.topoView()
@@ -23,18 +21,9 @@ func (g *Graph) ShortestTreeWS(ws *Workspace, src int, wf WeightFunc) {
 	ws.treeSrc = int32(src)
 }
 
-// TreeDistWS returns the distance from the last ShortestTreeWS source
-// to dst (ok=false when unreachable).
-func (g *Graph) TreeDistWS(ws *Workspace, dst int) (float64, bool) {
-	if ws.treeSrc < 0 || dst < 0 || dst >= g.n || !ws.visited(int32(dst)) {
-		return math.Inf(1), false
-	}
-	return ws.dist[dst], true
-}
-
 // TreePathWS materializes the path from the last ShortestTreeWS
-// source to dst (ok=false when unreachable). Only the returned Path
-// is allocated.
+// source to dst (ok=false when unreachable); its Weight is the
+// distance. Only the returned Path is allocated.
 func (g *Graph) TreePathWS(ws *Workspace, dst int) (Path, bool) {
 	if ws.treeSrc < 0 || dst < 0 || dst >= g.n || !ws.visited(int32(dst)) {
 		return Path{}, false

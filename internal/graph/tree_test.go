@@ -20,15 +20,14 @@ func TestTreeQueriesMatchPerPair(t *testing.T) {
 		for src := 0; src < g.NumVertices(); src += 3 {
 			g.ShortestTreeWS(tws, src, nil)
 			for dst := 0; dst < g.NumVertices(); dst++ {
-				td, tok := g.TreeDistWS(tws, dst)
+				tp, tok := g.TreePathWS(tws, dst)
 				pd, pok := g.ShortestDistanceWS(pws, src, dst, nil)
 				if tok != pok {
 					t.Fatalf("trial %d %d->%d: tree ok=%v, per-pair ok=%v", trial, src, dst, tok, pok)
 				}
-				if tok && td != pd {
-					t.Fatalf("trial %d %d->%d: tree dist %v, per-pair %v", trial, src, dst, td, pd)
+				if tok && tp.Weight != pd {
+					t.Fatalf("trial %d %d->%d: tree dist %v, per-pair %v", trial, src, dst, tp.Weight, pd)
 				}
-				tp, tok := g.TreePathWS(tws, dst)
 				pp, pok := g.ShortestPathWS(pws, src, dst, nil)
 				if tok != pok {
 					t.Fatalf("trial %d %d->%d: tree path ok=%v, per-pair ok=%v", trial, src, dst, tok, pok)
@@ -44,23 +43,17 @@ func TestTreeQueriesMatchPerPair(t *testing.T) {
 func TestTreeQueriesGuardUnprimedWorkspace(t *testing.T) {
 	g := buildDiamond()
 	ws := NewWorkspace()
-	if _, ok := g.TreeDistWS(ws, 1); ok {
-		t.Error("TreeDistWS answered before any ShortestTreeWS")
-	}
 	if _, ok := g.TreePathWS(ws, 1); ok {
 		t.Error("TreePathWS answered before any ShortestTreeWS")
 	}
 	g.ShortestTreeWS(ws, 0, nil)
-	if d, ok := g.TreeDistWS(ws, 3); !ok || d != 2 {
-		t.Errorf("dist to 3 = %v, %v; want 2, true", d, ok)
+	if p, ok := g.TreePathWS(ws, 3); !ok || p.Weight != 2 || !equalIntSlices(p.Nodes, []int{0, 1, 3}) {
+		t.Errorf("path to 3 = %+v, %v; want [0 1 3] weight 2", p, ok)
 	}
-	if p, ok := g.TreePathWS(ws, 3); !ok || !equalIntSlices(p.Nodes, []int{0, 1, 3}) {
-		t.Errorf("path to 3 = %+v, %v", p, ok)
-	}
-	if _, ok := g.TreeDistWS(ws, 4); ok {
+	if _, ok := g.TreePathWS(ws, 4); ok {
 		t.Error("isolated vertex reported reachable")
 	}
-	if _, ok := g.TreeDistWS(ws, -1); ok {
+	if _, ok := g.TreePathWS(ws, -1); ok {
 		t.Error("negative destination accepted")
 	}
 	if _, ok := g.TreePathWS(ws, 99); ok {

@@ -11,8 +11,8 @@ import (
 // more scratch slices; allocating them per call dominated the alloc
 // profile of the analysis sweeps. A Workspace owns all of it and is
 // reused across queries: the parallel sweeps keep one workspace per
-// worker per run, and the legacy non-workspace entry points borrow one
-// from a package pool.
+// worker per run, and the two non-workspace entry points
+// (KShortestPaths, EdgeBetweenness) borrow one from a package pool.
 //
 // Re-initialization between runs is O(touched), not O(n): instead of
 // clearing the distance array, every write stamps the vertex with the
@@ -157,9 +157,8 @@ func (w *Workspace) spurTable(ne int) []float64 {
 	return w.spurWeights
 }
 
-// wsPool backs the legacy non-workspace entry points, so callers that
-// have not adopted explicit workspaces still amortize scratch state
-// across calls.
+// wsPool backs the non-workspace entry points, so their callers still
+// amortize scratch state across calls.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 func getWS() *Workspace  { return wsPool.Get().(*Workspace) }

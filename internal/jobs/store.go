@@ -320,10 +320,11 @@ func (s *Store) snapshotEvent(j *job) Event {
 		Total: j.geom.Total, Completed: len(j.cells)}
 }
 
-// Cancel terminally cancels a job. Pending jobs cancel immediately;
-// the running job's context is torn down with errJobCanceled and the
-// runner persists the terminal state. Canceling a terminal job is a
-// no-op.
+// Cancel terminally cancels a job. Pending jobs cancel immediately,
+// through the same terminal transition as a finished run (checkpoint
+// first, then state and streams); the running job's context is torn
+// down with errJobCanceled and the runner persists the terminal
+// state. Canceling a terminal job is a no-op.
 func (s *Store) Cancel(id string) (Status, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -344,10 +345,9 @@ func (s *Store) Cancel(id string) (Status, error) {
 				break
 			}
 		}
-		s.finishLocked(j, StateCanceled, "canceled before start")
-		st := j.status()
 		s.mu.Unlock()
-		return st, nil
+		s.terminate(j, StateCanceled, "canceled before start")
+		return s.Get(id)
 	}
 	cancel := j.cancel
 	st := j.status()
@@ -467,11 +467,8 @@ func (s *Store) runJob(j *job) {
 
 	s.mu.Lock()
 	if j.canceled {
-		s.finishLocked(j, StateCanceled, "canceled before start")
 		s.mu.Unlock()
-		s.persist(j)
-		j.publish(s.snapshotEvent(j))
-		j.closeSubs()
+		s.terminate(j, StateCanceled, "canceled before start")
 		return
 	}
 	if version != j.baselineVersion || plan.Total() != j.geom.Total {
@@ -579,31 +576,43 @@ func (s *Store) runJob(j *job) {
 	}
 }
 
-// terminate finishes the job, persists the terminal checkpoint, and
-// tears down subscribers.
+// terminate writes the terminal checkpoint, then finishes the job and
+// tears down subscribers. The order is the contract: once Wait, Get or
+// a stream reports the terminal state, the checkpoint on disk carries
+// it too.
 func (s *Store) terminate(j *job, st State, errText string) {
+	s.persistAs(j, st, errText)
 	s.mu.Lock()
 	s.finishLocked(j, st, errText)
 	s.mu.Unlock()
-	s.persist(j)
 	j.publish(s.snapshotEvent(j))
 	j.closeSubs()
 	obs.Logger("jobs").Info("sweep finished", "job", j.id, "state", string(st), "err", errText)
 }
 
-// persist writes the job's checkpoint if the store has a directory.
-func (s *Store) persist(j *job) {
+// persist writes the job's checkpoint, in its current state, if the
+// store has a directory.
+func (s *Store) persist(j *job) { s.persistAs(j, "", "") }
+
+// persistAs writes the job's checkpoint if the store has a directory.
+// A non-empty st replaces the job's recorded state and error in the
+// checkpoint, so a terminal transition is durable before it is
+// published.
+func (s *Store) persistAs(j *job, st State, errText string) {
 	if s.opts.Dir == "" {
 		return
 	}
 	s.mu.Lock()
+	if st == "" {
+		st, errText = j.state, j.err
+	}
 	cp := &Checkpoint{
 		V:               checkpointVersion,
 		ID:              j.id,
 		Geom:            j.geom,
 		BaselineVersion: j.baselineVersion,
-		State:           j.state,
-		Err:             j.err,
+		State:           st,
+		Err:             errText,
 		Cells:           make([]scenario.CellOutcome, 0, len(j.cells)),
 	}
 	for _, c := range j.cells {

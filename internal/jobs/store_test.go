@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"os"
 	"sync"
 	"testing"
 
@@ -246,4 +247,90 @@ func TestJobQueueBoundAndRetry(t *testing.T) {
 		t.Errorf("queue never filled: %v, %v", err3, err4)
 	}
 	close(release)
+}
+
+// TestTerminalCheckpointDurableBeforeWait pins the ordering contract
+// of terminal transitions: the moment Wait reports a terminal state,
+// the checkpoint on disk already carries it — for jobs that finish, a
+// job canceled mid-flight, and a queued job canceled before it ran.
+func TestTerminalCheckpointDurableBeforeWait(t *testing.T) {
+	dir := t.TempDir()
+	eng := newEngine(t, 0)
+	s, err := NewStore(eng, Options{Dir: dir, Workers: 1, CheckpointEvery: 2, MaxQueue: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	checkpointState := func(id string) (State, int) {
+		t.Helper()
+		path, err := checkpointPath(dir, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp.State, len(cp.Cells)
+	}
+
+	for _, radius := range []float64{60, 80, 100, 120} {
+		st, err := s.Submit(scenario.GridSpec{CellKm: 900, RadiiKm: []float64{radius}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := s.Wait(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != StateDone {
+			t.Fatalf("job ended %s (%s)", fin.State, fin.Err)
+		}
+		if state, cells := checkpointState(st.ID); state != StateDone || cells != fin.Total {
+			t.Errorf("radius %v: checkpoint right after Wait: state %s, %d/%d cells", radius, state, cells, fin.Total)
+		}
+	}
+
+	// A running job canceled mid-flight, and a queued job canceled
+	// before it ever ran.
+	started := make(chan struct{}, 1)
+	eng.SetEvalHook(func(ctx context.Context) {
+		if _, ok := JobIDFromContext(ctx); ok {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+		}
+	})
+	defer eng.SetEvalHook(nil)
+	running, err := s.Submit(scenario.GridSpec{CellKm: 900, RadiiKm: []float64{140}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := s.Submit(scenario.GridSpec{CellKm: 900, RadiiKm: []float64{160}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{queued.ID, running.ID} {
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		fin, err := s.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != StateCanceled {
+			t.Fatalf("job %s ended %s (%s), want canceled", id, fin.State, fin.Err)
+		}
+		if state, _ := checkpointState(id); state != StateCanceled {
+			t.Errorf("job %s: checkpoint right after Wait on a canceled job: state %s", id, state)
+		}
+	}
 }

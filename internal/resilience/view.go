@@ -7,15 +7,14 @@ import (
 	"intertubes/internal/graph"
 )
 
-// view.go holds the overlay-aware entry points the scenario engine's
-// copy-on-write path uses: the same per-provider metrics as CutImpact
-// and PartitionCosts, computed against a fiber.View (typically a
-// scenario overlay) without cloning a map, with reusable scratch, and
-// — for partition costs — through the sparse Stoer-Wagner kernel.
-// Both replicate the reference arithmetic exactly: the component
-// statistics are integers before the final divisions, and the unique
-// min-cut value is integral, so results are bit-identical to the
-// clone path.
+// view.go holds the per-provider kernels behind CutImpact and
+// PartitionCosts, computed against any fiber.View — the baseline map
+// itself, or a scenario overlay the engine's copy-on-write path reads
+// without cloning a map — with reusable scratch, and for partition
+// costs through the sparse Stoer-Wagner kernel. The component
+// statistics are integers before the final divisions and the unique
+// min-cut value is integral, so an overlay view and the materialized
+// map it stands for give bit-identical results.
 
 // ImpactScratch carries the union-find state ImpactOn reuses across
 // calls. The zero value is ready; not safe for concurrent use.
@@ -99,8 +98,7 @@ func (s *ImpactScratch) ImpactOn(v fiber.View, isp string, nodes []fiber.NodeID,
 // workspace Stoer-Wagner kernel. verts is the provider's footprint,
 // weights the materialized per-edge table (1 on the provider's
 // conduits, +Inf elsewhere), extra any overlay-added edges. Returns 0
-// when the footprint is trivial or already disconnected, matching the
-// dense reference.
+// when the footprint is trivial or already disconnected.
 func PartitionCostWS(g *graph.Graph, ws *graph.Workspace, verts []int, weights []float64, extra []graph.Edge) int {
 	if cut, ok := g.GlobalMinCutWS(ws, verts, weights, extra); ok {
 		return int(math.Round(cut))

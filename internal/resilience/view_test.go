@@ -10,10 +10,12 @@ import (
 	"intertubes/internal/risk"
 )
 
-// view_test.go pins the overlay-aware entry points to their clone-path
-// references: ImpactOn must reproduce CutImpact's rows exactly, and
-// PartitionCostWS must agree with PartitionCosts through the dense
-// kernel, on both the raw baseline map and a perturbed overlay view.
+// view_test.go pins the per-provider kernels to brute-force oracles
+// that share no code with them: ImpactOn (and CutImpact, built on it)
+// must reproduce a per-node reachability count exactly, on the raw
+// baseline map and on a perturbed overlay view against its
+// materialized clone, and the partition costs built on PartitionCostWS
+// must agree with a max-flow oracle.
 
 // impactByISP indexes CutImpact's sorted output by provider.
 func impactByISP(impacts []Impact) map[string]Impact {
@@ -32,6 +34,51 @@ func cutIndicator(n int, cuts []fiber.ConduitID) []bool {
 	return cut
 }
 
+// oracleImpact computes one provider's Impact on a map by brute force:
+// a Dijkstra from every footprint node over the provider's uncut
+// conduits counts the connected ordered pairs and the largest
+// component directly.
+func oracleImpact(m *fiber.Map, isp string, cuts []fiber.ConduitID) Impact {
+	im := Impact{ISP: isp}
+	cut := cutIndicator(m.NumConduits(), cuts)
+	for _, cid := range cuts {
+		if m.Conduit(cid).HasTenant(isp) {
+			im.CutsHit++
+		}
+	}
+	nodes := m.NodesOf(isp)
+	n := len(nodes)
+	if n < 2 {
+		im.LargestComponent = 1
+		return im
+	}
+	g := m.Graph()
+	ws := graph.NewWorkspace()
+	wf := func(eid int) float64 {
+		if cut[eid] || !m.Conduit(fiber.ConduitID(eid)).HasTenant(isp) {
+			return math.Inf(1)
+		}
+		return 1
+	}
+	connected, largest := 0, 0
+	for _, u := range nodes {
+		dist := g.ShortestDistancesWS(ws, int(u), wf, nil)
+		reach := 0
+		for _, v := range nodes {
+			if !math.IsInf(dist[v], 1) {
+				reach++
+			}
+		}
+		connected += reach - 1
+		if reach > largest {
+			largest = reach
+		}
+	}
+	im.DisconnectedPairs = 1 - float64(connected)/float64(n*(n-1))
+	im.LargestComponent = float64(largest) / float64(n)
+	return im
+}
+
 func TestImpactOnMatchesCutImpactRing(t *testing.T) {
 	m, cids := ringMap(t)
 	mx := risk.Build(m, nil)
@@ -44,12 +91,15 @@ func TestImpactOnMatchesCutImpactRing(t *testing.T) {
 		{cids[0], cids[1], cids[2], cids[3], cids[4]},
 	}
 	for _, cuts := range cutSets {
-		want := impactByISP(CutImpact(m, mx, cuts))
+		rows := impactByISP(CutImpact(m, mx, cuts))
 		cut := cutIndicator(m.NumConduits(), cuts)
 		for _, isp := range mx.ISPs {
-			got := s.ImpactOn(m, isp, m.NodesOf(isp), cuts, cut)
-			if got != want[isp] {
-				t.Errorf("cuts %v isp %s: ImpactOn %+v != CutImpact %+v", cuts, isp, got, want[isp])
+			want := oracleImpact(m, isp, cuts)
+			if got := s.ImpactOn(m, isp, m.NodesOf(isp), cuts, cut); got != want {
+				t.Errorf("cuts %v isp %s: ImpactOn %+v != oracle %+v", cuts, isp, got, want)
+			}
+			if rows[isp] != want {
+				t.Errorf("cuts %v isp %s: CutImpact %+v != oracle %+v", cuts, isp, rows[isp], want)
 			}
 		}
 	}
@@ -59,13 +109,16 @@ func TestImpactOnMatchesCutImpactAtlas(t *testing.T) {
 	res, mx := build(t)
 	m := res.Map
 	cuts := mx.TopShared(5)
-	want := impactByISP(CutImpact(m, mx, cuts))
+	rows := impactByISP(CutImpact(m, mx, cuts))
 	cut := cutIndicator(m.NumConduits(), cuts)
 	var s ImpactScratch
 	for _, isp := range mx.ISPs {
-		got := s.ImpactOn(m, isp, m.NodesOf(isp), cuts, cut)
-		if got != want[isp] {
-			t.Errorf("isp %s: ImpactOn %+v != CutImpact %+v", isp, got, want[isp])
+		want := oracleImpact(m, isp, cuts)
+		if got := s.ImpactOn(m, isp, m.NodesOf(isp), cuts, cut); got != want {
+			t.Errorf("isp %s: ImpactOn %+v != oracle %+v", isp, got, want)
+		}
+		if rows[isp] != want {
+			t.Errorf("isp %s: CutImpact %+v != oracle %+v", isp, rows[isp], want)
 		}
 	}
 }
@@ -87,9 +140,9 @@ func TestImpactOnOverlayMatchesMutatedClone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Clone path: removals + additions lit (the "plus" map CutImpact
-	// runs on), per the engine's order. Cuts stay lit; CutImpact
-	// excludes them by weight.
+	// Clone: removals + additions lit (the "plus" map), per the
+	// engine's order. Cuts stay lit; the oracle excludes them by
+	// weight.
 	pmPlus := m.Clone()
 	for _, isp := range pert.RemoveISPs {
 		pmPlus.RemoveISP(isp)
@@ -104,45 +157,49 @@ func TestImpactOnOverlayMatchesMutatedClone(t *testing.T) {
 
 	kept := isps[1:]
 	mx2 := risk.BuildFrom(ov.Final(), kept)
-	want := impactByISP(CutImpact(pmPlus, mx2, pert.Cuts))
 	cut := cutIndicator(ov.NumBaseConduits(), pert.Cuts)
 	plus := ov.Plus()
 	var s ImpactScratch
 	for _, isp := range mx2.ISPs {
-		got := s.ImpactOn(plus, isp, plus.NodesOf(isp), pert.Cuts, cut)
-		if got != want[isp] {
-			t.Errorf("isp %s: overlay ImpactOn %+v != clone CutImpact %+v", isp, got, want[isp])
+		want := oracleImpact(pmPlus, isp, pert.Cuts)
+		if got := s.ImpactOn(plus, isp, plus.NodesOf(isp), pert.Cuts, cut); got != want {
+			t.Errorf("isp %s: overlay ImpactOn %+v != oracle on the clone %+v", isp, got, want)
 		}
 	}
 }
 
-func TestPartitionCostWSMatchesDense(t *testing.T) {
+// TestPartitionCostsMatchMengerOracle checks every provider's partition
+// cost against an oracle that shares no code with Stoer-Wagner: by
+// Menger's theorem the minimum number of conduits whose removal splits
+// a footprint is the minimum, over every other footprint node t, of
+// the unit-capacity max flow from one fixed node to t (0 when the
+// footprint is already split).
+func TestPartitionCostsMatchMengerOracle(t *testing.T) {
 	res, mx := build(t)
 	m := res.Map
 	g := m.Graph()
 	ws := graph.NewWorkspace()
+	var unit []float64
 
-	wantByISP := make(map[string]int)
-	for _, pc := range PartitionCosts(m, mx.ISPs) {
-		wantByISP[pc.ISP] = pc.MinCuts
+	got := PartitionCosts(m, mx.ISPs)
+	if len(got) != len(mx.ISPs) {
+		t.Fatalf("PartitionCosts returned %d rows for %d providers", len(got), len(mx.ISPs))
 	}
-
-	w := make([]float64, g.NumEdges())
-	for _, isp := range mx.ISPs {
-		for eid := range w {
-			if m.Conduit(fiber.ConduitID(eid)).HasTenant(isp) {
-				w[eid] = 1
-			} else {
-				w[eid] = math.Inf(1)
+	for _, pc := range got {
+		unit = UnitWeights(m, pc.ISP, unit) // +Inf conduits stay out of the flow network
+		nodes := m.NodesOf(pc.ISP)
+		want := 0
+		if len(nodes) >= 2 {
+			want = math.MaxInt
+			for _, n := range nodes[1:] {
+				if f := int(g.MaxFlowWS(ws, int(nodes[0]), int(n), unit, nil)); f < want {
+					want = f
+				}
 			}
 		}
-		nodes := m.NodesOf(isp)
-		verts := make([]int, len(nodes))
-		for i, n := range nodes {
-			verts[i] = int(n)
-		}
-		if got := PartitionCostWS(g, ws, verts, w, nil); got != wantByISP[isp] {
-			t.Errorf("isp %s: PartitionCostWS = %d, want %d", isp, got, wantByISP[isp])
+		if pc.MinCuts != want || pc.Nodes != len(nodes) {
+			t.Errorf("isp %s: PartitionCosts = %d cuts over %d nodes, Menger oracle %d over %d",
+				pc.ISP, pc.MinCuts, pc.Nodes, want, len(nodes))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/latency"
@@ -59,6 +58,37 @@ func (s *snapshot) litComponents() []int32 {
 	return s.litComp
 }
 
+// reaches reports, per node, whether the perturbation touches the
+// node's baseline lit component: an endpoint of a cut conduit, of any
+// conduit a removed provider occupied, or of an addition (which may
+// also bridge two components) lies in it. A node whose component is
+// untouched sees a byte-identical reachable subgraph, so anything
+// computed from it alone — its atlas row, the flow between two such
+// nodes — equals its baseline value exactly.
+func (s *snapshot) reaches(p *perturbation) func(fiber.NodeID) bool {
+	m := s.res.Map
+	comp := s.litComponents()
+	touched := make(map[int32]bool)
+	markConduit := func(cid fiber.ConduitID) {
+		a, b := m.ConduitEnds(cid)
+		touched[comp[a]] = true
+		touched[comp[b]] = true
+	}
+	for _, cid := range p.Cuts {
+		markConduit(cid)
+	}
+	for _, isp := range p.RemoveISPs {
+		for _, cid := range m.ConduitsOf(isp) {
+			markConduit(cid)
+		}
+	}
+	for _, ad := range p.Additions {
+		touched[comp[ad.A]] = true
+		touched[comp[ad.B]] = true
+	}
+	return func(n fiber.NodeID) bool { return touched[comp[n]] }
+}
+
 // LatencyAtlas returns the baseline snapshot's all-pairs latency
 // atlas and the baseline version it belongs to, building the atlas on
 // first use. The atlas is immutable and shared; a SwapBaseline starts
@@ -91,60 +121,20 @@ func (e *Engine) latencyAtlasOn(ctx context.Context, snap *snapshot) (*latency.A
 // atlas over the overlay view, recomputing only rows whose source's
 // lit component the perturbation touches and reusing every other
 // baseline row verbatim (Atlas.ReusedRows reports how many). The
-// result is byte-identical to a from-scratch build on the
-// materialized perturbed map.
+// scenario is resolved first, so a preset contributes its clauses and
+// an invalid spec is rejected. The result is byte-identical to a
+// from-scratch build on the materialized perturbed map.
 func (e *Engine) LatencyAtlasFor(ctx context.Context, sc Scenario) (*latency.Atlas, error) {
 	snap := e.snapshot()
 	base, err := e.latencyAtlasOn(ctx, snap)
 	if err != nil {
 		return nil, err
 	}
-	m := snap.res.Map
-	cuts, err := resolveCutsOn(snap, sc)
+	p, err := snap.perturb(sc)
 	if err != nil {
 		return nil, err
 	}
-	kept := keptISPs(snap, sc)
-	pert := fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
-	for _, ad := range sc.Additions {
-		a, ok := m.NodeByKey(ad.A)
-		if !ok {
-			return nil, fmt.Errorf("scenario: unknown node %q in addition", ad.A)
-		}
-		b, ok := m.NodeByKey(ad.B)
-		if !ok {
-			return nil, fmt.Errorf("scenario: unknown node %q in addition", ad.B)
-		}
-		tenants := ad.Tenants
-		if len(tenants) == 0 {
-			tenants = kept
-		}
-		pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
-	}
-	ov, err := fiber.NewOverlay(m, pert)
-	if err != nil {
-		return nil, err
-	}
-
-	comp := snap.litComponents()
-	touched := make(map[int32]bool)
-	mark := func(n fiber.NodeID) { touched[comp[n]] = true }
-	for _, cid := range cuts {
-		a, b := m.ConduitEnds(cid)
-		mark(a)
-		mark(b)
-	}
-	for _, isp := range sc.RemoveISPs {
-		for _, cid := range m.ConduitsOf(isp) {
-			a, b := m.ConduitEnds(cid)
-			mark(a)
-			mark(b)
-		}
-	}
-	for _, ad := range pert.Additions {
-		mark(ad.A)
-		mark(ad.B)
-	}
-	reuse := func(src fiber.NodeID) bool { return !touched[comp[src]] }
-	return latency.BuildView(ctx, m, ov.Final(), base, reuse, latency.Options{Workers: e.opts.Workers})
+	reaches := snap.reaches(p)
+	reuse := func(src fiber.NodeID) bool { return !reaches(src) }
+	return latency.BuildView(ctx, snap.res.Map, p.ov.Final(), base, reuse, latency.Options{Workers: e.opts.Workers})
 }

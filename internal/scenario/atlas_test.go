@@ -49,25 +49,11 @@ func referenceAtlases(t *testing.T, eng *Engine, sc Scenario) (*latency.Atlas, *
 	ctx := context.Background()
 	snap := eng.snapshot()
 	m := snap.res.Map
-	cuts, err := resolveCutsOn(snap, sc)
+	p, err := snap.perturb(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := keptISPs(snap, sc)
-	pert := fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
-	for _, ad := range sc.Additions {
-		a, _ := m.NodeByKey(ad.A)
-		b, _ := m.NodeByKey(ad.B)
-		tenants := ad.Tenants
-		if len(tenants) == 0 {
-			tenants = kept
-		}
-		pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
-	}
-	ov, err := fiber.NewOverlay(m, pert)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ov := p.ov
 	viewed, err := latency.BuildView(ctx, m, ov.Final(), nil, nil, latency.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -194,4 +180,62 @@ func TestLatencyAtlasMemoized(t *testing.T) {
 		t.Fatal("swapped baseline served the old snapshot's atlas")
 	}
 	sameAtlas(t, "same inputs across swap", at3, at1)
+}
+
+// TestLatencyAtlasForResolvesScenario: LatencyAtlasFor and ResolveCuts
+// resolve their scenario exactly as Evaluate does. A preset contributes
+// its clauses — its atlas equals the expanded form's and recomputes
+// rows the perturbation touches — and an invalid spec is rejected
+// instead of evaluated.
+func TestLatencyAtlasForResolvesScenario(t *testing.T) {
+	eng := newEngine(t, 0)
+	ctx := context.Background()
+	base, _, err := eng.LatencyAtlas(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range PresetNames() {
+		expanded, err := Resolve(Scenario{Preset: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaPreset, err := eng.LatencyAtlasFor(ctx, Scenario{Preset: name})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		viaExpanded, err := eng.LatencyAtlasFor(ctx, expanded)
+		if err != nil {
+			t.Fatalf("%s expanded: %v", name, err)
+		}
+		sameAtlas(t, name+" preset vs expanded", viaPreset, viaExpanded)
+		if viaPreset.ReusedRows != viaExpanded.ReusedRows {
+			t.Errorf("%s: ReusedRows %d via preset, %d expanded", name, viaPreset.ReusedRows, viaExpanded.ReusedRows)
+		}
+		if viaPreset.ReusedRows == base.NumSources() {
+			t.Errorf("%s: preset atlas reused every baseline row; its clauses were dropped", name)
+		}
+	}
+
+	cuts, err := eng.ResolveCuts(Scenario{Preset: "top12-cut"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cuts) != 12 {
+		t.Errorf("ResolveCuts(top12-cut) = %d conduits, want 12", len(cuts))
+	}
+
+	for _, bad := range []Scenario{
+		{Preset: "no-such-preset"},
+		{CutConduits: []fiber.ConduitID{-1}},
+		{CutMostShared: -1},
+		{Regions: []Region{{Lat: 30, Lon: -90, RadiusKm: 0}}},
+		{Additions: []Addition{{A: "x", B: "x"}}},
+	} {
+		if _, err := eng.LatencyAtlasFor(ctx, bad); err == nil {
+			t.Errorf("LatencyAtlasFor(%+v) accepted an invalid scenario", bad)
+		}
+		if _, err := eng.ResolveCuts(bad); err == nil {
+			t.Errorf("ResolveCuts(%+v) accepted an invalid scenario", bad)
+		}
+	}
 }

@@ -17,16 +17,19 @@ import (
 // evaluation then reports how many Gbps of baseline-served demand the
 // perturbation strands.
 //
-// Both evaluation paths produce bit-identical LostTraffic values. The
-// clone path recomputes every pair's flow on the materialized map's
-// own graph; the overlay path runs on the shared snapshot graph with
-// the overlay's capacity table and virtual conduits as extra edges,
-// and reuses the memoized baseline flow for any pair whose source and
-// sink components the perturbation never reaches. Reuse is sound
-// because an excluded (zero-capacity) edge is never staged into the
-// flow network at all: two graphs that agree on the subgraph
+// The evaluation runs on the shared snapshot graph with the overlay's
+// capacity table and virtual conduits as extra edges, and reuses the
+// memoized baseline flow for any pair whose source and sink lit
+// components the perturbation never reaches (snapshot.reaches). Only a
+// tenanted conduit has positive capacity, so every positive-capacity
+// component lies inside one lit component and marking lit components
+// is sound (with at least 2 wavelengths per tenant the two partitions
+// coincide, so it is not coarser either). Reuse is sound because an excluded (zero-capacity) edge is never staged into
+// the flow network at all: two graphs that agree on the subgraph
 // reachable from the source produce identical augmenting-path
-// sequences, hence identical float64 flow sums.
+// sequences, hence identical float64 flow sums. The result is
+// bit-identical to re-flowing every pair on the materialized map's own
+// graph, which the differential suite checks.
 
 // demandPairs is how many top gravity pairs form the demand matrix.
 // Small enough that a capacity stage costs a bounded number of flow
@@ -69,9 +72,6 @@ type capacityBaseline struct {
 	offered float64
 	// caps[cid] is the baseline capacity of base conduit cid.
 	caps []float64
-	// comp[node] identifies the node's component in the baseline
-	// lit-capacity graph (conduits with positive capacity).
-	comp []int32
 	// served[i] is demand i's baseline carried Gbps; servedTotal their
 	// sum, accumulated in demand order.
 	served      []float64
@@ -93,42 +93,13 @@ func capacityTable(v fiber.View, dst []float64) []float64 {
 }
 
 // capacity memoizes the snapshot's capacity baseline: gravity
-// demands, the capacity table, lit-capacity components, and per-pair
-// baseline flows.
+// demands, the capacity table, and per-pair baseline flows.
 func (s *snapshot) capacity() *capacityBaseline {
 	s.capOnce.Do(func() {
 		s.baseline() // the conduit graph s.g rides with the baseline
 		m := s.res.Map
 		cb := &s.capBase
 		cb.caps = capacityTable(m, nil)
-
-		// Union-find components over positive-capacity conduits.
-		parent := make([]int32, m.NumNodes())
-		for i := range parent {
-			parent[i] = int32(i)
-		}
-		var find func(int32) int32
-		find = func(x int32) int32 {
-			for parent[x] != x {
-				parent[x] = parent[parent[x]]
-				x = parent[x]
-			}
-			return x
-		}
-		for cid, c := range cb.caps {
-			if c <= 0 {
-				continue
-			}
-			a, b := m.ConduitEnds(fiber.ConduitID(cid))
-			ra, rb := find(int32(a)), find(int32(b))
-			if ra != rb {
-				parent[ra] = rb
-			}
-		}
-		cb.comp = make([]int32, len(parent))
-		for i := range parent {
-			cb.comp[i] = find(int32(i))
-		}
 
 		cb.demands = buildDemands(m, cb.caps)
 		for _, d := range cb.demands {
@@ -233,44 +204,4 @@ func lostTrafficOn(cb *capacityBaseline, g *graph.Graph, ws *graph.Workspace, ca
 	}
 	lt.LostGbps = lt.ServedBeforeGbps - lt.ServedAfterGbps
 	return lt, recomputed, reused
-}
-
-// lostTrafficClone is the clone path's capacity stage: recompute
-// every pair on the perturbed map's own graph. pm's conduit ids
-// coincide with the view the overlay path reads, so the staged flow
-// networks — and therefore the float sums — are identical.
-func lostTrafficClone(snap *snapshot, pm *fiber.Map) *LostTraffic {
-	cb := snap.capacity()
-	caps := capacityTable(pm, nil)
-	lt, _, _ := lostTrafficOn(cb, pm.Graph(), graph.NewWorkspace(), caps, nil, nil)
-	return lt
-}
-
-// capacityTouched marks the baseline lit-capacity components the
-// perturbation reaches: endpoints of cut conduits, of every conduit a
-// removed provider occupied (its capacity drops), and of additions
-// (which may gain capacity or bridge components). A demand pair whose
-// source and sink components are both unmarked sees a byte-identical
-// reachable subgraph, so its baseline flow is exact.
-func capacityTouched(m *fiber.Map, cb *capacityBaseline, cuts []fiber.ConduitID, pert fiber.Perturbation) map[int32]bool {
-	touched := make(map[int32]bool)
-	mark := func(n fiber.NodeID) { touched[cb.comp[n]] = true }
-	markConduit := func(cid fiber.ConduitID) {
-		a, b := m.ConduitEnds(cid)
-		mark(a)
-		mark(b)
-	}
-	for _, cid := range cuts {
-		markConduit(cid)
-	}
-	for _, isp := range pert.RemoveISPs {
-		for _, cid := range m.ConduitsOf(isp) {
-			markConduit(cid)
-		}
-	}
-	for _, ad := range pert.Additions {
-		mark(ad.A)
-		mark(ad.B)
-	}
-	return touched
 }

@@ -18,10 +18,10 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // capacity_test.go covers the capacity layer end to end: the gravity
-// demand matrix, the lost-traffic stage on both evaluation paths, and
+// demand matrix, the lost-traffic stage against the clone oracle, and
 // the acceptance scenario — a circular disaster over the busiest city
-// strands a nonzero number of Gbps, bit-identically on the clone and
-// overlay paths and at any sweep worker count.
+// strands a nonzero number of Gbps, bit-identically in the engine and
+// the clone oracle and at any sweep worker count.
 
 // biggestCityRegion centers a disaster circle on the map's most
 // populous node — guaranteed to hit the top gravity demand pair.
@@ -40,7 +40,7 @@ func biggestCityRegion(t *testing.T, radiusKm float64) Region {
 }
 
 func TestLostTrafficCircularDisaster(t *testing.T) {
-	overlay, clone := enginePair(t)
+	overlay := newEngine(t, 0)
 	sc := Scenario{Regions: []Region{biggestCityRegion(t, 150)}}
 
 	r, err := overlay.Evaluate(context.Background(), sc)
@@ -64,12 +64,12 @@ func TestLostTrafficCircularDisaster(t *testing.T) {
 		t.Fatalf("LostGbps inconsistent with served columns: %+v", lt)
 	}
 
-	// Bit-identical between the overlay path and the clone reference.
-	diffJSON(t, "circular disaster", evalJSON(t, overlay, sc), evalJSON(t, clone, sc))
+	// Bit-identical between the overlay path and the clone oracle.
+	diffJSON(t, "circular disaster", evalJSON(t, overlay, sc), refJSON(t, overlay, sc))
 }
 
 func TestLostTrafficZeroScenario(t *testing.T) {
-	overlay, _ := enginePair(t)
+	overlay := newEngine(t, 0)
 	r, err := overlay.Evaluate(context.Background(), Scenario{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestLostTrafficZeroScenario(t *testing.T) {
 // TestLostTrafficAdditionCanGain: an addition-only scenario may serve
 // more than the baseline; LostGbps goes negative, never positive.
 func TestLostTrafficAdditionCanGain(t *testing.T) {
-	overlay, clone := enginePair(t)
+	overlay := newEngine(t, 0)
 	res, _ := build(t)
 	m := res.Map
 	k0 := m.Node(0).Key()
@@ -103,13 +103,13 @@ func TestLostTrafficAdditionCanGain(t *testing.T) {
 	if r.LostTraffic.LostGbps > 0 {
 		t.Fatalf("addition-only scenario lost %v Gbps, want <= 0", r.LostTraffic.LostGbps)
 	}
-	diffJSON(t, "addition gain", evalJSON(t, overlay, sc), evalJSON(t, clone, sc))
+	diffJSON(t, "addition gain", evalJSON(t, overlay, sc), refJSON(t, overlay, sc))
 }
 
 // TestLostTrafficSweepWorkerInvariance: the capacity stage must not
 // break the sweep's bit-identical-at-any-worker-count contract.
 func TestLostTrafficSweepWorkerInvariance(t *testing.T) {
-	overlay, clone := enginePair(t)
+	overlay := newEngine(t, 0)
 	scs := []Scenario{
 		{Regions: []Region{biggestCityRegion(t, 150)}},
 		{CutMostShared: 5},
@@ -117,7 +117,7 @@ func TestLostTrafficSweepWorkerInvariance(t *testing.T) {
 	}
 	one := Sweep(context.Background(), overlay, scs, 1)
 	many := Sweep(context.Background(), overlay, scs, 8)
-	ref := Sweep(context.Background(), clone, scs, 4)
+	ref := referenceSweep(context.Background(), overlay, scs, 4)
 	for i := range scs {
 		j1 := mustJSON(t, one[i].Result)
 		j8 := mustJSON(t, many[i].Result)
@@ -133,7 +133,7 @@ func TestLostTrafficSweepWorkerInvariance(t *testing.T) {
 // TestReduceCellCarriesLostTraffic: the grid-sweep heatmap reduction
 // propagates the Gbps severity alongside MeanDisconnection.
 func TestReduceCellCarriesLostTraffic(t *testing.T) {
-	overlay, _ := enginePair(t)
+	overlay := newEngine(t, 0)
 	sc := Scenario{Regions: []Region{biggestCityRegion(t, 150)}}
 	r, err := overlay.Evaluate(context.Background(), sc)
 	if err != nil {

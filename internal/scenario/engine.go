@@ -24,13 +24,11 @@ import (
 // any worker count, which is what makes the hash a safe cache key and
 // Sweep's bit-identical contract hold.
 //
-// Two evaluation paths produce bit-identical Results. The default
-// copy-on-write overlay path (overlay_eval.go) records the scenario's
-// delta over the shared snapshot and recomputes only the stages the
-// delta touches. The clone path here deep-copies the map per scenario
-// and re-runs everything; it is the executable specification the
-// overlay path is differentially tested against, selectable with
-// Options.CloneEval.
+// Evaluation runs the copy-on-write overlay path (overlay_eval.go):
+// it records the scenario's delta over the shared snapshot and
+// recomputes only the stages the delta touches. The clone-per-scenario
+// evaluation it is differentially tested against lives in
+// reference_test.go as a test oracle.
 
 var evaluations = obs.GetCounter("scenario_evaluations_total",
 	"Scenario evaluations actually executed (cache hits and singleflight followers excluded).")
@@ -53,11 +51,6 @@ type Options struct {
 	// Workers bounds the worker pool used by the heavy sub-analyses.
 	// Results are bit-identical for any value.
 	Workers int
-	// CloneEval selects the reference clone-per-scenario evaluation
-	// path instead of the copy-on-write overlay path. Results are
-	// bit-identical either way; the clone path exists as the
-	// specification the overlay is differentially tested against.
-	CloneEval bool
 }
 
 func (o Options) withDefaults() Options {
@@ -98,9 +91,6 @@ func New(res *mapbuilder.Result, mx *risk.Matrix, opts Options) *Engine {
 // several reads against one baseline (an evaluation, a sweep) load it
 // once and pass it down, so a concurrent swap cannot tear them.
 func (e *Engine) snapshot() *snapshot { return e.snap.Load() }
-
-// Matrix returns the current baseline's risk matrix.
-func (e *Engine) Matrix() *risk.Matrix { return e.snapshot().mx }
 
 // BaselineVersion returns the current snapshot's version; it starts
 // at 1 and increments on every SwapBaseline.
@@ -285,7 +275,7 @@ func (r *Result) MeanDisconnectionAfter() float64 {
 // Evaluate resolves, canonicalizes, and evaluates the scenario
 // against the current baseline snapshot. It is deterministic: equal
 // scenarios produce equal Results, bit for bit, at any Workers
-// setting and on either evaluation path.
+// setting.
 //
 // Cancellation is cooperative: ctx is checked between stages and, via
 // the ctx-aware par pool, at every chunk grant inside the heavy scans.
@@ -318,28 +308,17 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *snapshot, sc Scenario) (_
 	defer sp.End()
 	e.runEvalHook(ctx)
 
-	path := "overlay"
-	if e.opts.CloneEval {
-		path = "clone"
-	}
 	hash := ""
 	if sp.TraceID() != "" {
 		// The hash only feeds attribution (span attrs, pprof labels);
 		// computing it is skipped entirely when nothing records.
 		hash = sc.Hash()
 		sp.SetAttr("scenario_hash", hash)
-		sp.SetAttr("path", path)
 		sp.SetAttrInt("baseline_version", int64(snap.version))
 	}
 
 	var res *Result
-	run := func(ctx context.Context) {
-		if e.opts.CloneEval {
-			res, err = e.evaluateClone(ctx, snap, sc)
-		} else {
-			res, err = e.evaluateOverlay(ctx, snap, sc)
-		}
-	}
+	run := func(ctx context.Context) { res, err = e.evaluateOverlay(ctx, snap, sc) }
 	if hash != "" {
 		// pprof labels make CPU profile samples (including par worker
 		// goroutines, which adopt the labels at spawn) attributable to
@@ -352,103 +331,6 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *snapshot, sc Scenario) (_
 		return nil, err
 	}
 	sp.SetItems(int64(len(res.Cut) + res.LinksRemoved + res.ConduitsAdded))
-	return res, nil
-}
-
-// evaluateClone is the reference path: clone the map, mutate, re-run
-// every analysis.
-func (e *Engine) evaluateClone(ctx context.Context, snap *snapshot, sc Scenario) (*Result, error) {
-	// checkpoint guards stage boundaries: the cheap stages below run a
-	// few hundred microseconds each, so between-stage checks plus the
-	// in-scan chunk-grant checks bound cancellation latency without a
-	// determinism cost.
-	checkpoint := func() error { return ctx.Err() }
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	m := snap.res.Map
-	base := snap.baseline()
-
-	cuts, err := resolveCutsOn(snap, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Hash:        sc.Hash(),
-		Scenario:    sc,
-		Cut:         cuts,
-		ConduitsCut: len(cuts),
-		ISPsRemoved: sc.RemoveISPs,
-	}
-	for _, cid := range cuts {
-		res.TenanciesCut += len(m.Conduit(cid).Tenants)
-	}
-
-	// pmPlus: removals and additions applied, cut conduits still lit —
-	// the topology used for connectivity, where a severed node must
-	// still count against its provider's pair total.
-	pmPlus := m.Clone()
-	for _, isp := range sc.RemoveISPs {
-		res.LinksRemoved += pmPlus.RemoveISP(isp)
-	}
-	kept := keptISPs(snap, sc)
-	for _, ad := range sc.Additions {
-		if err := applyAddition(pmPlus, ad, kept); err != nil {
-			return nil, err
-		}
-		res.ConduitsAdded++
-	}
-
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	// pm: the fully perturbed map — cuts go dark on top of pmPlus.
-	pm := pmPlus.Clone()
-	for _, cid := range cuts {
-		pm.ClearTenants(cid)
-	}
-
-	mx2 := risk.Build(pm, kept)
-
-	res.Stats = StatsDelta{Before: base.stats, After: pm.Stats()}
-	fillSharing(res, base, mx2)
-	fillRanking(res, base, mx2)
-
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	// Per-ISP disconnection: pmPlus keeps full footprints, the cut set
-	// is excluded by weight inside CutImpact.
-	fillDisconnection(res, base, resilience.CutImpact(pmPlus, mx2, cuts))
-
-	// Partition cost on the fully perturbed map, most fragile first.
-	for _, pc := range resilience.PartitionCosts(pm, kept) {
-		res.Partition = append(res.Partition, PartitionShift{
-			ISP:    pc.ISP,
-			Before: base.part[pc.ISP],
-			After:  pc.MinCuts,
-		})
-	}
-
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	// Capacity stage: the gravity demand matrix re-flowed over the
-	// fully perturbed map's own graph — the executable spec the
-	// overlay path's touched-component reuse is tested against.
-	res.LostTraffic = lostTrafficClone(snap, pm)
-
-	if err := e.latencyStage(ctx, snap, sc, pm, res); err != nil {
-		return nil, err
-	}
-	if err := e.trafficStage(ctx, snap, sc, pm, res); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
@@ -581,10 +463,15 @@ func (e *Engine) trafficStage(ctx context.Context, snap *snapshot, sc Scenario, 
 	return nil
 }
 
-// ResolveCuts materializes the scenario's cut clauses against the
-// current baseline map into one sorted, de-duplicated conduit set.
+// ResolveCuts resolves the scenario (preset expanded, fields
+// validated) and materializes its cut clauses against the current
+// baseline map into one sorted, de-duplicated conduit set.
 func (e *Engine) ResolveCuts(sc Scenario) ([]fiber.ConduitID, error) {
-	return resolveCutsOn(e.snapshot(), sc)
+	p, err := e.snapshot().perturb(sc)
+	if err != nil {
+		return nil, err
+	}
+	return p.Cuts, nil
 }
 
 func resolveCutsOn(snap *snapshot, sc Scenario) ([]fiber.ConduitID, error) {
@@ -614,30 +501,6 @@ func resolveCutsOn(snap *snapshot, sc Scenario) ([]fiber.ConduitID, error) {
 		})...)
 	}
 	return dedupeIDs(cuts), nil
-}
-
-// applyAddition materializes one new build on the perturbed map. An
-// empty tenant list means open access: every kept baseline provider
-// lights the new conduit.
-func applyAddition(pm *fiber.Map, ad Addition, kept []string) error {
-	a, ok := pm.NodeByKey(ad.A)
-	if !ok {
-		return fmt.Errorf("scenario: unknown node %q in addition", ad.A)
-	}
-	b, ok := pm.NodeByKey(ad.B)
-	if !ok {
-		return fmt.Errorf("scenario: unknown node %q in addition", ad.B)
-	}
-	path := geo.Polyline{pm.Node(a).Loc, pm.Node(b).Loc}
-	cid := pm.EnsureConduit(a, b, -1, path)
-	tenants := ad.Tenants
-	if len(tenants) == 0 {
-		tenants = kept
-	}
-	for _, isp := range tenants {
-		pm.AddTenant(cid, isp)
-	}
-	return nil
 }
 
 // FromAdditions converts the §5.2 optimizer's chosen builds into

@@ -166,7 +166,7 @@ func TestEvaluateLatencyAndTraffic(t *testing.T) {
 
 func TestResolveCutsUnion(t *testing.T) {
 	eng := newEngine(t, 0)
-	shared := eng.Matrix().TopShared(3)
+	shared := eng.snapshot().mx.TopShared(3)
 	sc, err := Resolve(Scenario{
 		CutConduits:   []fiber.ConduitID{shared[0], 0},
 		CutMostShared: 3,

@@ -14,22 +14,21 @@ import (
 
 // fuzz_test.go drives the clone-vs-overlay differential harness from
 // fuzzed perturbations over a small atlas: whatever the fuzzer
-// composes, the two evaluation paths must agree byte for byte (or
-// fail with the same error), and neither may panic.
+// composes, the engine and the clone-per-scenario oracle
+// (referenceEvaluate) must agree byte for byte (or fail with the same
+// error), and neither may panic.
 
 var (
 	fuzzOnce  sync.Once
-	fuzzOv    *Engine
-	fuzzCl    *Engine
+	fuzzEng   *Engine
 	fuzzRes   *mapbuilder.Result
 	fuzzIsps  []string
 	fuzzNodes int
 )
 
-// fuzzEngines builds one tiny three-provider atlas and the engine
-// pair over it. Small on purpose: the clone reference runs on every
-// fuzz input.
-func fuzzEngines() (*Engine, *Engine) {
+// fuzzEngine builds one tiny three-provider atlas and an engine over
+// it. Small on purpose: the clone oracle runs on every fuzz input.
+func fuzzEngine() *Engine {
 	fuzzOnce.Do(func() {
 		profiles := []mapbuilder.Profile{
 			{Name: "Alpha", Tier: mapbuilder.Tier1, Geocoded: true, POPTarget: 10, Redundancy: 0.2, JitterAmp: 0.2},
@@ -40,15 +39,14 @@ func fuzzEngines() (*Engine, *Engine) {
 		mx := risk.Build(fuzzRes.Map, nil)
 		fuzzIsps = mx.ISPs
 		fuzzNodes = fuzzRes.Map.NumNodes()
-		fuzzOv = New(fuzzRes, mx, Options{Seed: 3})
-		fuzzCl = New(fuzzRes, mx, Options{Seed: 3, CloneEval: true})
+		fuzzEng = New(fuzzRes, mx, Options{Seed: 3})
 	})
-	return fuzzOv, fuzzCl
+	return fuzzEng
 }
 
 // fuzzScenario shapes arbitrary fuzz bytes into a scenario. Values
 // are folded into valid ranges except the cut ids, which may go out
-// of range on purpose — both paths must then fail identically.
+// of range on purpose — engine and oracle must then fail identically.
 func fuzzScenario(cutA, cutB uint16, shared, between, rmMask, addA, addB, tenantMask uint8) Scenario {
 	var sc Scenario
 	nc := fuzzRes.Map.NumConduits()
@@ -88,12 +86,12 @@ func FuzzOverlayEvaluate(f *testing.F) {
 	f.Add(uint16(9999), uint16(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(2), uint8(0))
 	f.Add(uint16(4), uint16(4), uint8(7), uint8(7), uint8(7), uint8(3), uint8(9), uint8(5))
 	f.Fuzz(func(t *testing.T, cutA, cutB uint16, shared, between, rmMask, addA, addB, tenantMask uint8) {
-		ov, cl := fuzzEngines()
+		eng := fuzzEngine()
 		sc := fuzzScenario(cutA, cutB, shared, between, rmMask, addA, addB, tenantMask)
 		ctx := context.Background()
 
-		rOv, errOv := ov.Evaluate(ctx, sc)
-		rCl, errCl := cl.Evaluate(ctx, sc)
+		rOv, errOv := eng.Evaluate(ctx, sc)
+		rCl, errCl := referenceEvaluate(ctx, eng, eng.snapshot(), sc)
 		if (errOv == nil) != (errCl == nil) {
 			t.Fatalf("error disagreement: overlay=%v clone=%v (scenario %+v)", errOv, errCl, sc)
 		}

@@ -12,26 +12,30 @@ import (
 )
 
 // overlay_equiv_test.go is the clone-vs-overlay differential harness:
-// the copy-on-write evaluation path must produce byte-identical
-// Result JSON to the clone-per-scenario reference path for every
-// preset, for randomized composite scenarios, across engine reuse
-// (pooled scratch), and at any sweep worker count.
-
-// enginePair returns an overlay-path engine and a clone-path engine
-// over the same baseline.
-func enginePair(t *testing.T) (overlay, clone *Engine) {
-	t.Helper()
-	res, mx := build(t)
-	overlay = New(res, mx, Options{Seed: 42})
-	clone = New(res, mx, Options{Seed: 42, CloneEval: true})
-	return overlay, clone
-}
+// the engine's copy-on-write evaluation must produce byte-identical
+// Result JSON to the clone-per-scenario oracle (referenceEvaluate)
+// for every preset, for randomized composite scenarios, across engine
+// reuse (pooled scratch), and at any sweep worker count.
 
 func evalJSON(t *testing.T, eng *Engine, sc Scenario) []byte {
 	t.Helper()
 	r, err := eng.Evaluate(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("evaluate %+v: %v", sc, err)
+	}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// refJSON is evalJSON through the clone-per-scenario oracle.
+func refJSON(t *testing.T, eng *Engine, sc Scenario) []byte {
+	t.Helper()
+	r, err := referenceEvaluate(context.Background(), eng, eng.snapshot(), sc)
+	if err != nil {
+		t.Fatalf("reference evaluate %+v: %v", sc, err)
 	}
 	b, err := json.Marshal(r)
 	if err != nil {
@@ -61,7 +65,7 @@ func diffJSON(t *testing.T, label string, got, want []byte) {
 	if hiW > len(want) {
 		hiW = len(want)
 	}
-	t.Errorf("%s: overlay and clone Results diverge at byte %d:\n overlay: …%s…\n clone:   …%s…",
+	t.Errorf("%s: overlay and reference Results diverge at byte %d:\n overlay: …%s…\n reference: …%s…",
 		label, i, got[lo:hiG], want[lo:hiW])
 }
 
@@ -117,25 +121,25 @@ func equivScenarios(t *testing.T) []Scenario {
 }
 
 func TestOverlayMatchesClonePresets(t *testing.T) {
-	ovEng, clEng := enginePair(t)
+	eng := newEngine(t, 0)
 	for i, sc := range equivScenarios(t) {
 		label := sc.Preset
 		if label == "" {
 			label = fmt.Sprintf("composite-%d", i)
 		}
-		diffJSON(t, label, evalJSON(t, ovEng, sc), evalJSON(t, clEng, sc))
+		diffJSON(t, label, evalJSON(t, eng, sc), refJSON(t, eng, sc))
 	}
 }
 
 func TestOverlayMatchesCloneLatencyTraffic(t *testing.T) {
-	ovEng, clEng := enginePair(t)
+	eng := newEngine(t, 0)
 	sc := Scenario{
 		CutMostShared:  2,
 		IncludeLatency: true,
 		IncludeTraffic: true,
 		Overrides:      Overrides{LatencyMaxPairs: 60, Probes: 2000},
 	}
-	diffJSON(t, "latency+traffic", evalJSON(t, ovEng, sc), evalJSON(t, clEng, sc))
+	diffJSON(t, "latency+traffic", evalJSON(t, eng, sc), refJSON(t, eng, sc))
 }
 
 // randomScenario draws a composite scenario over valid map entities.
@@ -180,15 +184,15 @@ func randomScenario(rng *rand.Rand, eng *Engine) Scenario {
 }
 
 func TestOverlayMatchesCloneRandomized(t *testing.T) {
-	ovEng, clEng := enginePair(t)
+	eng := newEngine(t, 0)
 	rng := rand.New(rand.NewSource(7))
 	n := 25
 	if testing.Short() {
 		n = 6
 	}
 	for trial := 0; trial < n; trial++ {
-		sc := randomScenario(rng, ovEng)
-		diffJSON(t, fmt.Sprintf("trial-%d", trial), evalJSON(t, ovEng, sc), evalJSON(t, clEng, sc))
+		sc := randomScenario(rng, eng)
+		diffJSON(t, fmt.Sprintf("trial-%d", trial), evalJSON(t, eng, sc), refJSON(t, eng, sc))
 	}
 }
 
@@ -196,7 +200,7 @@ func TestOverlayMatchesCloneRandomized(t *testing.T) {
 // a sequence of scenarios twice (pooled workspaces, reused weight
 // masks) must reproduce its own first-pass bytes exactly.
 func TestOverlayEngineReuse(t *testing.T) {
-	ovEng, _ := enginePair(t)
+	ovEng := newEngine(t, 0)
 	scs := equivScenarios(t)
 	first := make([][]byte, len(scs))
 	for i, sc := range scs {
@@ -209,9 +213,9 @@ func TestOverlayEngineReuse(t *testing.T) {
 
 // TestSweepOverlayWorkerInvariance: a sweep's outcome bytes are
 // identical at one worker and many, and identical to the clone
-// engine's sweep.
+// oracle's sweep.
 func TestSweepOverlayWorkerInvariance(t *testing.T) {
-	ovEng, clEng := enginePair(t)
+	ovEng := newEngine(t, 0)
 	scs := equivScenarios(t)
 
 	marshal := func(out []Outcome) []byte {
@@ -225,6 +229,6 @@ func TestSweepOverlayWorkerInvariance(t *testing.T) {
 	serial := marshal(Sweep(ctx, ovEng, scs, 1))
 	parallel := marshal(Sweep(ctx, ovEng, scs, 8))
 	diffJSON(t, "overlay 1-vs-8 workers", parallel, serial)
-	cloneOut := marshal(Sweep(ctx, clEng, scs, 4))
+	cloneOut := marshal(referenceSweep(ctx, ovEng, scs, 4))
 	diffJSON(t, "overlay-vs-clone sweep", serial, cloneOut)
 }

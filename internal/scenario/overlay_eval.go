@@ -25,7 +25,7 @@ import (
 //     providers the delta can affect — a provider is "touched" when a
 //     cut conduit carries its (surviving) tenancy or an addition
 //     lights it; every other provider reuses its baseline row, which
-//     is exactly what the clone path would recompute for it;
+//     is exactly what a full recomputation would produce for it;
 //   - touched partition costs run through the sparse Stoer-Wagner
 //     kernel with the snapshot's per-provider unit weight table,
 //     masked in place in a pooled scratch buffer (additions lower
@@ -34,9 +34,10 @@ import (
 //   - the heavyweight optional stages (latency, traffic) materialize
 //     a concrete map only when the scenario requests them.
 //
-// The output contract is strict: bit-identical Results to the clone
-// path (Options.CloneEval), enforced by the differential suite in
-// overlay_equiv_test.go.
+// The output contract is strict: bit-identical Results to a
+// clone-per-scenario evaluation that deep-copies the map and re-runs
+// every analysis (referenceEvaluate in reference_test.go), enforced by
+// the differential suite in overlay_equiv_test.go.
 
 // touchedCut/touchedAdd classify why a provider needs recomputation.
 const (
@@ -71,8 +72,6 @@ func getScratch(nEdges int) *evalScratch {
 	return s
 }
 
-func putScratch(s *evalScratch) { scratchPool.Put(s) }
-
 // maskWeights fills dst with the provider's unit weight row under the
 // perturbation: merged-addition tenancy gains first, then cuts to
 // +Inf — the same order the mutation path applies them, so a cut
@@ -86,6 +85,55 @@ func maskWeights(dst, baseRow []float64, gains []fiber.ConduitID, cuts []fiber.C
 	for _, cid := range cuts {
 		dst[cid] = inf
 	}
+}
+
+// perturbation is a scenario resolved against one snapshot: its
+// cuts, removals and node-resolved additions, the providers that
+// survive its removal clause, and the copy-on-write overlay recording
+// the whole delta. The evaluation's apply stage, LatencyAtlasFor and
+// ResolveCuts all start here.
+type perturbation struct {
+	fiber.Perturbation
+	kept []string
+	ov   *fiber.Overlay
+}
+
+// perturb resolves sc (preset expanded, fields validated) and records
+// it as an overlay over the snapshot's map. An addition with an empty
+// tenant list is open access: every kept provider lights it.
+func (s *snapshot) perturb(sc Scenario) (*perturbation, error) {
+	sc, err := Resolve(sc)
+	if err != nil {
+		return nil, err
+	}
+	cuts, err := resolveCutsOn(s, sc)
+	if err != nil {
+		return nil, err
+	}
+	m := s.res.Map
+	p := &perturbation{
+		Perturbation: fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs},
+		kept:         keptISPs(s, sc),
+	}
+	for _, ad := range sc.Additions {
+		a, ok := m.NodeByKey(ad.A)
+		if !ok {
+			return nil, fmt.Errorf("scenario: unknown node %q in addition", ad.A)
+		}
+		b, ok := m.NodeByKey(ad.B)
+		if !ok {
+			return nil, fmt.Errorf("scenario: unknown node %q in addition", ad.B)
+		}
+		tenants := ad.Tenants
+		if len(tenants) == 0 {
+			tenants = p.kept
+		}
+		p.Additions = append(p.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
+	}
+	if p.ov, err = fiber.NewOverlay(m, p.Perturbation); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenario) (*Result, error) {
@@ -108,64 +156,34 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	}
 
 	var (
-		res  *Result
-		kept []string
-		pert fiber.Perturbation
-		ov   *fiber.Overlay
+		res *Result
+		p   *perturbation
 	)
-	removed := make(map[string]bool, len(sc.RemoveISPs))
 	err := stage("scenario.stage.apply", func(sp *obs.Span) error {
-		cuts, err := resolveCutsOn(snap, sc)
-		if err != nil {
+		var err error
+		if p, err = snap.perturb(sc); err != nil {
 			return err
 		}
 		res = &Result{
-			Hash:        sc.Hash(),
-			Scenario:    sc,
-			Cut:         cuts,
-			ConduitsCut: len(cuts),
-			ISPsRemoved: sc.RemoveISPs,
+			Hash:          sc.Hash(),
+			Scenario:      sc,
+			Cut:           p.Cuts,
+			ConduitsCut:   len(p.Cuts),
+			ISPsRemoved:   sc.RemoveISPs,
+			LinksRemoved:  p.ov.LinksRemoved(),
+			ConduitsAdded: len(p.Additions),
 		}
-		for _, cid := range cuts {
+		for _, cid := range p.Cuts {
 			res.TenanciesCut += len(m.Conduit(cid).Tenants)
 		}
-
-		kept = keptISPs(snap, sc)
-		for _, isp := range sc.RemoveISPs {
-			removed[isp] = true
-		}
-
-		// Resolve additions to node ids; an empty tenant list means open
-		// access — every kept provider lights the build.
-		pert = fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
-		for _, ad := range sc.Additions {
-			a, ok := m.NodeByKey(ad.A)
-			if !ok {
-				return fmt.Errorf("scenario: unknown node %q in addition", ad.A)
-			}
-			b, ok := m.NodeByKey(ad.B)
-			if !ok {
-				return fmt.Errorf("scenario: unknown node %q in addition", ad.B)
-			}
-			tenants := ad.Tenants
-			if len(tenants) == 0 {
-				tenants = kept
-			}
-			pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
-		}
-		if ov, err = fiber.NewOverlay(m, pert); err != nil {
-			return err
-		}
-		res.LinksRemoved = ov.LinksRemoved()
-		res.ConduitsAdded = len(pert.Additions)
-		sp.SetAttrInt("cuts", int64(len(cuts)))
-		sp.SetAttrInt("additions", int64(len(pert.Additions)))
+		sp.SetAttrInt("cuts", int64(len(p.Cuts)))
+		sp.SetAttrInt("additions", int64(len(p.Additions)))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	cuts := res.Cut
+	cuts, kept, ov := p.Cuts, p.kept, p.ov
 
 	if err := checkpoint(); err != nil {
 		return nil, err
@@ -189,7 +207,11 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	// Touched set: a surviving provider's connectivity or partition
 	// answer can only change if a cut conduit carries its tenancy or an
 	// addition lights it. Everything else reuses its baseline row —
-	// the clone path would recompute the identical value.
+	// a full recomputation would produce the identical value.
+	removed := make(map[string]bool, len(sc.RemoveISPs))
+	for _, isp := range sc.RemoveISPs {
+		removed[isp] = true
+	}
 	touched := make(map[string]uint8)
 	for _, cid := range cuts {
 		for _, isp := range m.Tenants(cid) {
@@ -198,7 +220,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 			}
 		}
 	}
-	for _, ad := range pert.Additions {
+	for _, ad := range p.Additions {
 		for _, isp := range ad.Tenants {
 			if !removed[isp] {
 				touched[isp] |= touchedAdd
@@ -207,7 +229,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	}
 
 	scr := getScratch(snap.g.NumEdges())
-	defer putScratch(scr)
+	defer scratchPool.Put(scr)
 	cutMask := ov.CutMask()
 
 	// Per-ISP disconnection on the plus view (cuts excluded by weight,
@@ -265,7 +287,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 			// additions; overlay-new conduits become extra edges instead.
 			scr.verts = scr.verts[:0]
 			scr.extra = scr.extra[:0]
-			gains := gainsFor(pert.Additions, ov.AdditionTargets(), nb, isp)
+			gains := gainsFor(p.Additions, ov.AdditionTargets(), nb, isp)
 			maskWeights(scr.w, snap.ispW[snap.ispIdx[isp]], gains, cuts)
 			for cid := fiber.ConduitID(nb); int(cid) < nc; cid++ {
 				if final.HasTenant(cid, isp) {
@@ -313,10 +335,10 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 			a, b := final.ConduitEnds(fiber.ConduitID(cid))
 			scr.extra = append(scr.extra, graph.Edge{U: int(a), V: int(b), Weight: scr.capW[cid]})
 		}
-		touchedComps := capacityTouched(m, cb, cuts, pert)
+		reaches := snap.reaches(p)
 		reusable := func(i int) bool {
 			d := &cb.demands[i]
-			return !touchedComps[cb.comp[d.s]] && !touchedComps[cb.comp[d.t]]
+			return !reaches(d.s) && !reaches(d.t)
 		}
 		var recomputed, reused int
 		res.LostTraffic, recomputed, reused = lostTrafficOn(cb, snap.g, scr.ws, scr.capW[:nb], scr.extra, reusable)

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -52,8 +51,7 @@ type snapshot struct {
 	btwRank []fiber.ConduitID
 
 	// Capacity-layer baseline (capacity.go): gravity demands, the
-	// conduit capacity table, lit-capacity components, and memoized
-	// per-pair baseline flows.
+	// conduit capacity table, and memoized per-pair baseline flows.
 	capOnce sync.Once
 	capBase capacityBaseline
 
@@ -61,7 +59,7 @@ type snapshot struct {
 	// atomic pointer — the CSR-topology idiom: a hit is one load, a
 	// miss takes the mutex, double-checks, builds once. litComp holds
 	// the union-find components of the lit-conduit graph that the
-	// overlay row-reuse rule consults.
+	// atlas row-reuse and capacity flow-reuse rules consult.
 	atlasMu  sync.Mutex
 	atlasPtr atomic.Pointer[latency.Atlas]
 	litOnce  sync.Once
@@ -122,18 +120,9 @@ func (s *snapshot) baseline() *baseline {
 		s.ispIdx = make(map[string]int, len(s.mx.ISPs))
 		s.ispW = make([][]float64, len(s.mx.ISPs))
 		s.ispNodes = make([][]fiber.NodeID, len(s.mx.ISPs))
-		inf := math.Inf(1)
 		for i, isp := range s.mx.ISPs {
 			s.ispIdx[isp] = i
-			w := make([]float64, s.g.NumEdges())
-			for eid := range w {
-				if m.Conduit(fiber.ConduitID(eid)).HasTenant(isp) {
-					w[eid] = 1
-				} else {
-					w[eid] = inf
-				}
-			}
-			s.ispW[i] = w
+			s.ispW[i] = resilience.UnitWeights(m, isp, nil)
 			s.ispNodes[i] = m.NodesOf(isp)
 		}
 	})

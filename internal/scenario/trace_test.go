@@ -53,14 +53,11 @@ func TestRecordedEvaluationAttribution(t *testing.T) {
 		t.Fatalf("no scenario.evaluate span; got %v", names(tr.Spans))
 	}
 	ea := attrMap(eval)
-	if ea["path"] != "overlay" {
-		t.Errorf("path attr = %q, want overlay", ea["path"])
+	if ea["baseline_version"] != "1" {
+		t.Errorf("baseline_version attr = %q, want 1 (a fresh engine's snapshot)", ea["baseline_version"])
 	}
 	if ea["scenario_hash"] == "" {
 		t.Error("scenario_hash attr missing")
-	}
-	if ea["baseline_version"] == "" {
-		t.Error("baseline_version attr missing")
 	}
 
 	for _, stageName := range []string{

@@ -54,7 +54,10 @@ func (s *Server) decodeError(w http.ResponseWriter, err error) {
 // and stamps its ID on the response, so a client can fetch the
 // evaluation's span tree from /api/traces/{id} afterwards. The header
 // is set before the handler writes anything; an unrecorded request
-// (recorder disabled) gets no header.
+// (recorder disabled) gets no header. Callers end the returned span
+// before writing any body, error bodies included: the header goes out
+// with the first write, and the ID must resolve by then. The deferred
+// End that also guards panics is then a no-op.
 func startScenarioTrace(ctx context.Context, w http.ResponseWriter, name string) (context.Context, *obs.Span) {
 	ctx, sp := obs.StartTrace(ctx, name)
 	if id := sp.TraceID(); id != "" {
@@ -73,6 +76,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := startScenarioTrace(r.Context(), w, "http.scenario")
 	defer sp.End()
 	res, err := s.study.Scenarios().Eval(ctx, sc)
+	sp.End() // seal before any body byte goes out (see startScenarioTrace)
 	if err != nil {
 		s.scenarioError(w, r, err)
 		return
@@ -91,6 +95,7 @@ func (s *Server) handleScenarioReport(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := startScenarioTrace(r.Context(), w, "http.scenario.report")
 	defer sp.End()
 	res, err := s.study.Scenarios().Eval(ctx, sc)
+	sp.End() // seal before any body byte goes out (see startScenarioTrace)
 	if err != nil {
 		s.scenarioError(w, r, err)
 		return

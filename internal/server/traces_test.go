@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -73,8 +74,8 @@ func TestScenarioTraceEndToEnd(t *testing.T) {
 		}
 		attrs[s.Name] = m
 	}
-	if attrs["scenario.evaluate"]["path"] != "overlay" {
-		t.Errorf("evaluate path attr = %q", attrs["scenario.evaluate"]["path"])
+	if attrs["scenario.evaluate"]["baseline_version"] == "" {
+		t.Errorf("evaluate span missing baseline_version; attrs = %v", attrs["scenario.evaluate"])
 	}
 	if attrs["http.scenario"]["cache"] == "" {
 		t.Errorf("root span missing cache outcome; attrs = %v", attrs["http.scenario"])
@@ -113,6 +114,65 @@ func TestScenarioTraceEndToEnd(t *testing.T) {
 	}
 	if !sawAttribution {
 		t.Error("chrome export missing reused/recomputed attribution with touched counts")
+	}
+}
+
+// sealCheckWriter asserts, on the first WriteHeader or Write, that the
+// response's X-Trace-Id already resolves in the trace store: a client
+// that reads the headers may fetch the trace at once.
+type sealCheckWriter struct {
+	*httptest.ResponseRecorder
+	t       *testing.T
+	checked bool
+}
+
+func (w *sealCheckWriter) check() {
+	if w.checked {
+		return
+	}
+	w.checked = true
+	id := w.Header().Get("X-Trace-Id")
+	if id == "" {
+		w.t.Error("response has no X-Trace-Id")
+		return
+	}
+	if _, ok := obs.DefaultTraces.Get(id); !ok {
+		w.t.Errorf("trace %s not in the store when the response was first written", id)
+	}
+}
+
+func (w *sealCheckWriter) WriteHeader(code int) {
+	w.check()
+	w.ResponseRecorder.WriteHeader(code)
+}
+
+func (w *sealCheckWriter) Write(b []byte) (int, error) {
+	w.check()
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestScenarioTraceSealedBeforeFirstWrite pins the ordering contract
+// of the scenario routes deterministically: the trace named by
+// X-Trace-Id is sealed before any body byte is written, on success and
+// on an evaluation error alike.
+func TestScenarioTraceSealedBeforeFirstWrite(t *testing.T) {
+	h := NewWithConfig(study(t), discardLogger(), Config{ScenarioInFlight: 4, ScenarioQueue: 4})
+	for _, tc := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/api/scenario", `{"cutMostShared": 3}`, http.StatusOK},
+		{"/api/scenario/report", `{"cutMostShared": 3}`, http.StatusOK},
+		{"/api/scenario", `{"cutConduits": [99999999]}`, http.StatusBadRequest},
+	} {
+		w := &sealCheckWriter{ResponseRecorder: httptest.NewRecorder(), t: t}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if w.Code != tc.code {
+			t.Errorf("%s %s: status %d, want %d", tc.path, tc.body, w.Code, tc.code)
+		}
+		if !w.checked {
+			t.Errorf("%s %s: handler wrote no response", tc.path, tc.body)
+		}
 	}
 }
 
