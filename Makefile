@@ -27,12 +27,13 @@ fuzz:
 bench:
 	sh scripts/bench.sh
 
-# bench-smoke runs the graph-kernel micro-benchmarks and the
-# clone-vs-overlay scenario pairs for one iteration each — a fast CI
+# bench-smoke runs the graph-kernel micro-benchmarks, the
+# clone-vs-overlay scenario pairs and the records-search path (map
+# construction, tenant inference) for one iteration each — a fast CI
 # check that the benchmarks themselves still build and
 # run (it does not overwrite BENCH_obs.json).
 bench-smoke:
-	BENCH='DijkstraSweep|KShortestPaths$$|EdgeBetweenness|MaxFlow|ScenarioEvaluate|ScenarioEvaluateCapacity|ScenarioSweep|GridSweep|TracingOverhead|LatencyAtlas' BENCHTIME=1x OUT=BENCH_smoke.json sh scripts/bench.sh
+	BENCH='DijkstraSweep|KShortestPaths$$|EdgeBetweenness|MaxFlow|ScenarioEvaluate|ScenarioEvaluateCapacity|ScenarioSweep|GridSweep|TracingOverhead|LatencyAtlas|RecordsInference|Figure1_MapConstruction' BENCHTIME=1x OUT=BENCH_smoke.json sh scripts/bench.sh
 	rm -f BENCH_smoke.json
 
 clean:

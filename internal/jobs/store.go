@@ -392,6 +392,16 @@ func (s *Store) Close() {
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.mu.Lock()
+	// A queued job has no checkpoint until the runner starts it (Submit
+	// writes none, keeping admission free of file writes): write it
+	// pending now so the next process resumes it. The writes hold s.mu,
+	// so a Cancel racing with Close either takes the job out of the
+	// queue first or writes its terminal checkpoint after this one.
+	if s.opts.Dir != "" {
+		for _, id := range s.queue {
+			s.write(s.checkpointLocked(s.jobs[id], "", ""))
+		}
+	}
 	jobs := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
@@ -603,6 +613,14 @@ func (s *Store) persistAs(j *job, st State, errText string) {
 		return
 	}
 	s.mu.Lock()
+	cp := s.checkpointLocked(j, st, errText)
+	s.mu.Unlock()
+	s.write(cp)
+}
+
+// checkpointLocked snapshots the job as a checkpoint, in state st (the
+// job's own state when st is empty); callers hold s.mu.
+func (s *Store) checkpointLocked(j *job, st State, errText string) *Checkpoint {
 	if st == "" {
 		st, errText = j.state, j.err
 	}
@@ -618,11 +636,15 @@ func (s *Store) persistAs(j *job, st State, errText string) {
 	for _, c := range j.cells {
 		cp.Cells = append(cp.Cells, c)
 	}
-	s.mu.Unlock()
 	// Plan-order cells keep checkpoint bytes deterministic for a given
 	// completed set, which makes the files diffable and testable.
 	sort.Slice(cp.Cells, func(a, b int) bool { return cp.Cells[a].Index < cp.Cells[b].Index })
+	return cp
+}
+
+// write stores cp in the checkpoint directory.
+func (s *Store) write(cp *Checkpoint) {
 	if err := writeCheckpoint(s.opts.Dir, cp); err != nil {
-		obs.Logger("jobs").Error("checkpoint write failed", "job", j.id, "err", err)
+		obs.Logger("jobs").Error("checkpoint write failed", "job", cp.ID, "err", err)
 	}
 }

@@ -334,3 +334,51 @@ func TestTerminalCheckpointDurableBeforeWait(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseCheckpointsQueuedJobs: a job still queued when the store
+// closes has never run, so only Close can write its checkpoint. Both it
+// and the parked running job must come back after a restart.
+func TestCloseCheckpointsQueuedJobs(t *testing.T) {
+	dir := t.TempDir()
+	eng := newEngine(t, 0)
+	s, err := NewStore(eng, Options{Dir: dir, Workers: 1, CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{}, 1)
+	eng.SetEvalHook(func(ctx context.Context) {
+		if _, ok := JobIDFromContext(ctx); ok {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+		}
+	})
+	defer eng.SetEvalHook(nil)
+	running, err := s.Submit(scenario.GridSpec{CellKm: 900, RadiiKm: []float64{100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := s.Submit(scenario.GridSpec{CellKm: 900, RadiiKm: []float64{120}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := NewStore(eng, Options{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for _, id := range []string{running.ID, queued.ID} {
+		st, err := s2.Get(id)
+		if err != nil {
+			t.Fatalf("job %s lost across restart: %v", id, err)
+		}
+		if st.State.terminal() {
+			t.Errorf("job %s recovered as %s, want resumable", id, st.State)
+		}
+	}
+}

@@ -17,12 +17,14 @@
 package mapbuilder
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"intertubes/internal/atlas"
 	"intertubes/internal/fiber"
 	"intertubes/internal/graph"
+	"intertubes/internal/obs"
 	"intertubes/internal/records"
 )
 
@@ -115,12 +117,67 @@ func edgeRef(a *atlas.Atlas, eid int) records.ConduitRef {
 // Build runs the four-step pipeline over the default provider
 // universe.
 func Build(opts Options) *Result {
-	return BuildWithProfiles(opts, Profiles())
+	return BuildCtx(context.Background(), opts)
+}
+
+// BuildCtx is Build with the build's stage spans (footprints, records
+// index, step-2 validation, step-3/4 alignment) opened under the span
+// in ctx.
+func BuildCtx(ctx context.Context, opts Options) *Result {
+	return construct(ctx, opts, Profiles())
 }
 
 // BuildWithProfiles runs the pipeline over a caller-supplied provider
 // universe (used by tests and ablations).
 func BuildWithProfiles(opts Options, profiles []Profile) *Result {
+	return construct(context.Background(), opts, profiles)
+}
+
+// validation memoizes Inference.Validate for one build. Validation is
+// a pure function of (conduit, ISP) at the build's fixed top-k, and
+// step 4 re-asks many of the questions steps 2 and 4 already asked.
+type validation struct {
+	inf      *records.Inference
+	topK     int
+	memo     map[validationKey]bool
+	searches int64 // Validate calls actually run
+	hits     int64 // answers served from memo
+}
+
+type validationKey struct {
+	ref records.ConduitRef
+	isp string
+}
+
+func (v *validation) ok(ref records.ConduitRef, isp string) bool {
+	k := validationKey{ref, isp}
+	if ok, seen := v.memo[k]; seen {
+		v.hits++
+		return ok
+	}
+	v.searches++
+	_, ok := v.inf.Validate(ref, isp, v.topK)
+	v.memo[k] = ok
+	return ok
+}
+
+// span opens a stage span whose items are the searches the stage runs.
+// The answers the memo served instead go to the span's memo_hits
+// attribute and to the mapbuild_memo_hits_total counter.
+func (v *validation) span(ctx context.Context, name string) (end func()) {
+	_, sp := obs.Trace(ctx, name)
+	searches, hits := v.searches, v.hits
+	return func() {
+		sp.SetItems(v.searches - searches)
+		sp.SetAttrInt("memo_hits", v.hits-hits)
+		obs.GetCounter("mapbuild_memo_hits_total",
+			"Map-build validations answered by the per-build memo instead of a records search.",
+			obs.L("stage", name)).Add(v.hits - hits)
+		sp.End()
+	}
+}
+
+func construct(ctx context.Context, opts Options, profiles []Profile) *Result {
 	opts = opts.withDefaults()
 	a := atlas.Load()
 	g := a.Graph()
@@ -143,6 +200,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 	sort.SliceStable(order, func(x, y int) bool {
 		return profiles[order[x]].POPTarget > profiles[order[y]].POPTarget
 	})
+	_, fpSpan := obs.Trace(ctx, "mapbuild.footprints")
 	occupancy := make([]int, g.NumEdges())
 	for _, pi := range order {
 		p := profiles[pi]
@@ -156,6 +214,8 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 			occupancy[eid]++
 		}
 	}
+	fpSpan.SetItems(int64(len(profiles)))
+	fpSpan.End()
 
 	// The public-records corpus describes the true tenancy relation.
 	truth := records.GroundTruth{Tenants: make(map[records.ConduitRef][]string)}
@@ -178,9 +238,16 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 	for _, p := range profiles {
 		allNames = append(allNames, p.Name)
 	}
+	_, idxSpan := obs.Trace(ctx, "mapbuild.records_index")
 	res.Corpus = records.Generate(truth, allNames, opts.Records)
 	res.Index = records.BuildIndex(res.Corpus)
-	inf := records.NewInference(res.Index)
+	idxSpan.SetItems(int64(len(res.Corpus.Docs)))
+	idxSpan.End()
+	val := &validation{
+		inf:  records.NewInference(res.Index),
+		topK: opts.ValidateTopK,
+		memo: make(map[validationKey]bool),
+	}
 
 	ensure := func(eid int) fiber.ConduitID {
 		c := &a.Corridors[eid]
@@ -206,17 +273,19 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 	res.Report.Step1Nodes, res.Report.Step1Links, res.Report.Step1Conduits = s.Nodes, s.Links, s.Conduits
 
 	// ---- Step 2: validate step-1 link locations against records.
+	endStep2 := val.span(ctx, "mapbuild.step2_validate")
 	for _, p := range profiles {
 		if !p.Mapped() || !p.Geocoded {
 			continue
 		}
 		for _, eid := range sortedEdges(res.Truth[p.Name].Edges) {
 			res.Report.Step2Checked++
-			if _, ok := inf.Validate(edgeRef(a, eid), p.Name, opts.ValidateTopK); ok {
+			if val.ok(edgeRef(a, eid), p.Name) {
 				res.Report.Step2Validated++
 			}
 		}
 	}
+	endStep2()
 
 	// ---- Steps 3 and 4: align POP-only providers along ROWs and
 	// validate the placements.
@@ -224,6 +293,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 		c := &a.Corridors[eid]
 		return c.LengthKm * rowFactor(c.ROW)
 	}
+	endStep34 := val.span(ctx, "mapbuild.step34_align")
 	alignWS := graph.NewWorkspace() // serial alignment loop: one workspace
 	for _, p := range profiles {
 		if !p.Mapped() || p.Geocoded {
@@ -241,7 +311,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 			for i, cand := range cands {
 				validated := 0
 				for _, eid := range cand.Edges {
-					if _, ok := inf.Validate(edgeRef(a, eid), p.Name, opts.ValidateTopK); ok {
+					if val.ok(edgeRef(a, eid), p.Name) {
 						validated++
 					}
 				}
@@ -262,11 +332,12 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 			if fp.Edges[eid] {
 				res.Report.Step4EdgesCorrect++
 			}
-			if _, ok := inf.Validate(edgeRef(a, eid), p.Name, opts.ValidateTopK); ok {
+			if val.ok(edgeRef(a, eid), p.Name) {
 				res.Report.Step4Validated++
 			}
 		}
 	}
+	endStep34()
 
 	// ---- Hidden tenancy: unmapped providers, plus mapped providers'
 	// true occupations the published maps missed. These are invisible

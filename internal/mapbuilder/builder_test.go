@@ -1,10 +1,13 @@
 package mapbuilder
 
 import (
+	"context"
+	"strconv"
 	"testing"
 
 	"intertubes/internal/atlas"
 	"intertubes/internal/graph"
+	"intertubes/internal/obs"
 )
 
 // buildOnce caches one default build across tests in this package —
@@ -349,5 +352,73 @@ func TestOccupancyDiscountAblation(t *testing.T) {
 	withoutTail := without.SharedByGT17
 	if withoutTail > withTail {
 		t.Errorf("tail without discount (%d) exceeds with (%d)", withoutTail, withTail)
+	}
+}
+
+// TestReportValidationCountsPinned pins the step-2 and step-3/4 counts
+// that records search decides. The values were recorded from the
+// original map-and-sort search engine, before it was rebuilt and
+// memoized, so any drift in search results or tie order shows here.
+func TestReportValidationCountsPinned(t *testing.T) {
+	want := map[int64]Report{
+		42: {Step2Validated: 1169, Step2Checked: 1402, Step4Routes: 137, Step4Edges: 689, Step4EdgesCorrect: 635, Step4Validated: 535},
+		7:  {Step2Validated: 1154, Step2Checked: 1465, Step4Routes: 136, Step4Edges: 711, Step4EdgesCorrect: 673, Step4Validated: 555},
+	}
+	for _, seed := range []int64{42, 7} {
+		r, w := Build(Options{Seed: seed}).Report, want[seed]
+		got := [6]int{r.Step2Validated, r.Step2Checked, r.Step4Routes, r.Step4Edges, r.Step4EdgesCorrect, r.Step4Validated}
+		exp := [6]int{w.Step2Validated, w.Step2Checked, w.Step4Routes, w.Step4Edges, w.Step4EdgesCorrect, w.Step4Validated}
+		if got != exp {
+			t.Errorf("seed %d: step2 validated/checked, step4 routes/edges/correct/validated = %v, want %v", seed, got, exp)
+		}
+	}
+}
+
+// TestBuildStageSpans checks the map build's child spans: each stage
+// nests under the caller's span, and the validation spans' items count
+// the searches run, the memo serving the rest.
+func TestBuildStageSpans(t *testing.T) {
+	ctx, root := obs.StartTrace(context.Background(), "test.build")
+	res := BuildCtx(ctx, Options{Seed: 42})
+	root.End()
+	rec, ok := obs.DefaultTraces.Get(root.TraceID())
+	if !ok {
+		t.Fatal("build trace not recorded")
+	}
+	spans := make(map[string]obs.SpanRecord)
+	for _, sp := range rec.Spans {
+		spans[sp.Name] = sp
+	}
+	for _, name := range []string{"mapbuild.footprints", "mapbuild.records_index", "mapbuild.step2_validate", "mapbuild.step34_align"} {
+		sp, ok := spans[name]
+		if !ok || sp.ParentID != 1 {
+			t.Fatalf("span %s missing or not under the root: %+v", name, sp)
+		}
+	}
+	memoHits := func(sp obs.SpanRecord) int64 {
+		for _, a := range sp.Attrs {
+			if a.Key == "memo_hits" {
+				n, err := strconv.ParseInt(a.Value, 10, 64)
+				if err != nil {
+					t.Fatalf("memo_hits = %q", a.Value)
+				}
+				return n
+			}
+		}
+		t.Fatalf("span %s has no memo_hits", sp.Name)
+		return 0
+	}
+	step2, step34 := spans["mapbuild.step2_validate"], spans["mapbuild.step34_align"]
+	if n := step2.Items + memoHits(step2); n != int64(res.Report.Step2Checked) {
+		t.Errorf("step 2 searches + memo hits = %d, want %d checked", n, res.Report.Step2Checked)
+	}
+	// Every placement step 4 keeps was already validated while scoring
+	// its candidate paths, so the final pass is served by the memo.
+	if h := memoHits(step34); step34.Items == 0 || h < int64(res.Report.Step4Edges) {
+		t.Errorf("step 3/4: %d searches, %d memo hits; want some searches and >= %d hits",
+			step34.Items, h, res.Report.Step4Edges)
+	}
+	if got := spans["mapbuild.records_index"].Items; got != int64(len(res.Corpus.Docs)) {
+		t.Errorf("records index items = %d, want %d docs", got, len(res.Corpus.Docs))
 	}
 }

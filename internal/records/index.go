@@ -3,8 +3,8 @@ package records
 import (
 	"math"
 	"sort"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // index.go implements the search side of the paper's methodology: the
@@ -18,55 +18,100 @@ import (
 // what a person typing search terms effectively does too.
 func Tokenize(s string) []string {
 	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
-	}
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
-		}
-	}
-	flush()
+	scanTokens(s, func(tok []byte) { tokens = append(tokens, string(tok)) })
 	return tokens
 }
+
+// scanTokens calls emit with each token of s, as Tokenize splits it.
+// The slice emit receives is reused for the next token.
+func scanTokens(s string, emit func(tok []byte)) {
+	buf := make([]byte, 0, 32)
+	for _, r := range s {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+		} else if len(buf) > 0 {
+			emit(buf)
+			buf = buf[:0]
+		}
+	}
+	if len(buf) > 0 {
+		emit(buf)
+	}
+}
+
+// noTerm is the id of a query token absent from the corpus: it has no
+// postings and matches no document token.
+const noTerm int32 = -1
 
 type posting struct {
 	doc int32
 	tf  float64
 }
 
-// Index is an inverted index over a Corpus.
+// Index is an inverted index over a Corpus. Terms are interned to
+// dense ids at build time; postings and the per-document token
+// sequences (read by mention extraction) share those ids. An Index is
+// immutable once built and safe for concurrent use.
 type Index struct {
 	corpus   *Corpus
-	postings map[string][]posting
-	docLen   []float64
+	termIDs  map[string]int32
+	postings [][]posting // by term id, ascending doc id
+	docNorm  []float64   // sqrt of each document's token count
+	// docTokens is each document's title and body as a term-id
+	// sequence.
+	docTokens [][]int32
 }
 
-// BuildIndex indexes every document's title and body.
+// BuildIndex tokenizes every document's title and body once, interns
+// the terms and builds the postings.
 func BuildIndex(c *Corpus) *Index {
 	idx := &Index{
-		corpus:   c,
-		postings: make(map[string][]posting),
-		docLen:   make([]float64, len(c.Docs)),
+		corpus:    c,
+		termIDs:   make(map[string]int32),
+		docNorm:   make([]float64, len(c.Docs)),
+		docTokens: make([][]int32, len(c.Docs)),
 	}
+	var counts []int32 // by term id; reset after each document
+	var distinct []int32
 	for i, doc := range c.Docs {
-		counts := make(map[string]int)
-		toks := Tokenize(doc.Title + " " + doc.Body)
-		for _, t := range toks {
-			counts[t]++
+		var ids []int32
+		scanTokens(doc.Title+" "+doc.Body, func(tok []byte) {
+			id, ok := idx.termIDs[string(tok)]
+			if !ok {
+				id = int32(len(idx.postings))
+				idx.termIDs[string(tok)] = id
+				idx.postings = append(idx.postings, nil)
+				counts = append(counts, 0)
+			}
+			ids = append(ids, id)
+			if counts[id] == 0 {
+				distinct = append(distinct, id)
+			}
+			counts[id]++
+		})
+		for _, id := range distinct {
+			idx.postings[id] = append(idx.postings[id], posting{doc: int32(i), tf: float64(counts[id])})
+			counts[id] = 0
 		}
-		idx.docLen[i] = float64(len(toks))
-		for t, n := range counts {
-			idx.postings[t] = append(idx.postings[t], posting{doc: int32(i), tf: float64(n)})
-		}
+		distinct = distinct[:0]
+		idx.docTokens[i] = ids
+		idx.docNorm[i] = math.Sqrt(float64(len(ids)))
 	}
 	return idx
+}
+
+// terms tokenizes s into term ids, noTerm for tokens the corpus never
+// uses.
+func (idx *Index) terms(s string) []int32 {
+	ids := make([]int32, 0, (len(s)+1)/2) // tokens are separated
+	scanTokens(s, func(tok []byte) {
+		id, ok := idx.termIDs[string(tok)]
+		if !ok {
+			id = noTerm
+		}
+		ids = append(ids, id)
+	})
+	return ids
 }
 
 // Result is one search hit.
@@ -75,45 +120,73 @@ type Result struct {
 	Score float64
 }
 
+// before is the ranking order: score descending, then document id
+// ascending. It is total over distinct documents, so the top k are
+// unique.
+func before(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.DocID < b.DocID
+}
+
 // Search scores documents against the query by TF-IDF sum and returns
 // the top k hits, best first. Ties break by document id for
 // determinism.
+//
+// Each document's score is summed in query-term order, each distinct
+// term once, so the float sums do not depend on how the scores are
+// stored. They accumulate in a dense per-document slice; the documents
+// touched are then inserted into a sorted buffer of the best k so far.
 func (idx *Index) Search(query string, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
+	terms := idx.terms(query)
 	nDocs := float64(len(idx.corpus.Docs))
-	scores := make(map[int32]float64)
-	seen := make(map[string]bool)
-	for _, t := range Tokenize(query) {
-		if seen[t] {
+	scores := make([]float64, len(idx.corpus.Docs))
+	touched := make([]int32, 0, len(idx.corpus.Docs))
+	for i, t := range terms {
+		if t == noTerm || dupBefore(terms[:i], t) {
 			continue
 		}
-		seen[t] = true
 		ps := idx.postings[t]
-		if len(ps) == 0 {
-			continue
-		}
 		idf := math.Log(1 + nDocs/float64(len(ps)))
 		for _, p := range ps {
+			if scores[p.doc] == 0 { // every term weight is positive
+				touched = append(touched, p.doc)
+			}
 			// Length-normalized TF.
-			scores[p.doc] += idf * p.tf / math.Sqrt(idx.docLen[p.doc])
+			scores[p.doc] += idf * p.tf / idx.docNorm[p.doc]
 		}
 	}
-	out := make([]Result, 0, len(scores))
-	for doc, s := range scores {
-		out = append(out, Result{DocID: int(doc), Score: s})
+	if k > len(touched) {
+		k = len(touched)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	top := make([]Result, 0, k) // best first
+	for _, d := range touched {
+		r := Result{DocID: int(d), Score: scores[d]}
+		if len(top) == k && !before(r, top[k-1]) {
+			continue
 		}
-		return out[i].DocID < out[j].DocID
-	})
-	if len(out) > k {
-		out = out[:k]
+		i := sort.Search(len(top), func(i int) bool { return before(r, top[i]) })
+		if len(top) < k {
+			top = append(top, Result{})
+		}
+		copy(top[i+1:], top[i:])
+		top[i] = r
 	}
-	return out
+	return top
+}
+
+// dupBefore reports whether t already occurs in prev.
+func dupBefore(prev []int32, t int32) bool {
+	for _, p := range prev {
+		if p == t {
+			return true
+		}
+	}
+	return false
 }
 
 // Doc returns the indexed document by id.

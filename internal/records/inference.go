@@ -1,9 +1,6 @@
 package records
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // inference.go implements steps 2 and 4 of the paper's mapping
 // process: given the searchable public-records corpus, validate that a
@@ -11,26 +8,20 @@ import (
 // which other providers share the conduit.
 
 // Inference runs validation and sharing-inference queries against an
-// index.
+// index. It holds no state of its own, so one Inference may serve
+// concurrent callers.
 type Inference struct {
 	idx *Index
-	// docTokens caches each document's token sequence for mention
-	// extraction.
-	docTokens [][]string
 }
 
 // NewInference prepares an inference engine over idx.
 func NewInference(idx *Index) *Inference {
-	inf := &Inference{idx: idx, docTokens: make([][]string, len(idx.corpus.Docs))}
-	for i, d := range idx.corpus.Docs {
-		inf.docTokens[i] = Tokenize(d.Title + " " + d.Body)
-	}
-	return inf
+	return &Inference{idx: idx}
 }
 
 // containsSeq reports whether needle occurs as a contiguous
 // subsequence of haystack.
-func containsSeq(haystack, needle []string) bool {
+func containsSeq(haystack, needle []int32) bool {
 	if len(needle) == 0 {
 		return false
 	}
@@ -46,10 +37,11 @@ outer:
 	return false
 }
 
-// mentions reports whether doc i mentions the phrase (e.g. an ISP or
-// city name) as a contiguous token sequence.
-func (inf *Inference) mentions(doc int, phrase string) bool {
-	return containsSeq(inf.docTokens[doc], Tokenize(phrase))
+// mentions reports whether doc mentions the phrase (e.g. an ISP or
+// city name, as term ids) as a contiguous token sequence. A phrase
+// with a term the corpus never uses matches no document.
+func (inf *Inference) mentions(doc int, phrase []int32) bool {
+	return containsSeq(inf.idx.docTokens[doc], phrase)
 }
 
 // Evidence records why a tenancy was inferred.
@@ -66,16 +58,21 @@ type Evidence struct {
 func (inf *Inference) TenantsFor(ref ConduitRef, candidates []string, topK int) []Evidence {
 	a, b := cityName(ref.A), cityName(ref.B)
 	hits := inf.idx.Search(a+" to "+b+" fiber conduit right of way iru", topK)
+	ta, tb := inf.idx.terms(a), inf.idx.terms(b)
+	phrases := make([][]int32, len(candidates))
+	for i, isp := range candidates {
+		phrases[i] = inf.idx.terms(isp)
+	}
 	found := make(map[string]int) // isp -> first doc id
 	for _, h := range hits {
-		if !inf.mentions(h.DocID, a) || !inf.mentions(h.DocID, b) {
+		if !inf.mentions(h.DocID, ta) || !inf.mentions(h.DocID, tb) {
 			continue // the document is about some other route
 		}
-		for _, isp := range candidates {
+		for i, isp := range candidates {
 			if _, ok := found[isp]; ok {
 				continue
 			}
-			if inf.mentions(h.DocID, isp) {
+			if inf.mentions(h.DocID, phrases[i]) {
 				found[isp] = h.DocID
 			}
 		}
@@ -93,9 +90,10 @@ func (inf *Inference) TenantsFor(ref ConduitRef, candidates []string, topK int) 
 // the supporting document id when found.
 func (inf *Inference) Validate(ref ConduitRef, isp string, topK int) (int, bool) {
 	a, b := cityName(ref.A), cityName(ref.B)
-	hits := inf.idx.Search(a+" to "+b+" fiber iru "+strings.ToLower(isp), topK)
+	hits := inf.idx.Search(a+" to "+b+" fiber iru "+isp, topK)
+	ta, tb, tisp := inf.idx.terms(a), inf.idx.terms(b), inf.idx.terms(isp)
 	for _, h := range hits {
-		if inf.mentions(h.DocID, a) && inf.mentions(h.DocID, b) && inf.mentions(h.DocID, isp) {
+		if inf.mentions(h.DocID, ta) && inf.mentions(h.DocID, tb) && inf.mentions(h.DocID, tisp) {
 			return h.DocID, true
 		}
 	}

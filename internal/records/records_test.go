@@ -207,14 +207,17 @@ func TestDocTypeString(t *testing.T) {
 }
 
 func TestContainsSeq(t *testing.T) {
-	h := []string{"the", "at", "t", "network"}
-	if !containsSeq(h, []string{"at", "t"}) {
+	h := []int32{0, 1, 2, 3} // "the at t network"
+	if !containsSeq(h, []int32{1, 2}) {
 		t.Error("should find at&t tokens")
 	}
-	if containsSeq(h, []string{"t", "at"}) {
+	if containsSeq(h, []int32{2, 1}) {
 		t.Error("order matters")
 	}
 	if containsSeq(h, nil) {
 		t.Error("empty needle should not match")
+	}
+	if containsSeq(h, []int32{1, noTerm}) {
+		t.Error("a term absent from the corpus should not match")
 	}
 }

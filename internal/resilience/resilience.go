@@ -77,8 +77,13 @@ func TargetedBySharing(mx *risk.Matrix, k int) []fiber.ConduitID {
 // TargetedByBetweenness returns the k conduits with the highest
 // shortest-path betweenness over the lit conduit graph.
 func TargetedByBetweenness(m *fiber.Map, k int) []fiber.ConduitID {
-	g := m.Graph()
-	bc := g.EdgeBetweenness(m.LitWeight())
+	return topByBetweenness(m.Graph().EdgeBetweenness(m.LitWeight()), k)
+}
+
+// topByBetweenness returns the k conduits with the highest edge
+// betweenness bc (ties by conduit id), skipping conduits no shortest
+// path crosses.
+func topByBetweenness(bc []float64, k int) []fiber.ConduitID {
 	type scored struct {
 		cid fiber.ConduitID
 		v   float64
@@ -202,9 +207,8 @@ type CriticalConduit struct {
 // and "shared by the most ISPs" is the paper's risk story in one
 // table.
 func Criticality(m *fiber.Map, mx *risk.Matrix, k int) []CriticalConduit {
-	g := m.Graph()
-	bc := g.EdgeBetweenness(m.LitWeight())
-	ids := TargetedByBetweenness(m, k)
+	bc := m.Graph().EdgeBetweenness(m.LitWeight())
+	ids := topByBetweenness(bc, k)
 	out := make([]CriticalConduit, 0, len(ids))
 	for _, cid := range ids {
 		c := m.Conduit(cid)

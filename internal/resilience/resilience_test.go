@@ -178,6 +178,13 @@ func TestCriticality(t *testing.T) {
 	if len(crit) != 10 {
 		t.Fatalf("criticality rows = %d", len(crit))
 	}
+	// One betweenness pass ranks the rows: the same conduits, in the
+	// same order, as the targeted-cut strategy picks.
+	for i, cid := range TargetedByBetweenness(res.Map, 10) {
+		if crit[i].Conduit != cid {
+			t.Errorf("row %d is conduit %d, targeted ranking has %d", i, crit[i].Conduit, cid)
+		}
+	}
 	for i, c := range crit {
 		if c.Betweenness <= 0 {
 			t.Errorf("row %d betweenness = %v", i, c.Betweenness)

@@ -342,6 +342,9 @@ func TestAnnotatedBadLimit(t *testing.T) {
 // Prometheus text exposition covering the HTTP layer, the study
 // stages, and the worker pool.
 func TestMetricsEndpoint(t *testing.T) {
+	// The exposition must carry the campaign's stage: run it here
+	// rather than rely on an earlier test's request.
+	study(t).Campaign()
 	// Generate at least one measured request first.
 	get(t, "/api/stats")
 	resp, body := get(t, "/metrics")
@@ -392,6 +395,7 @@ func parseFloat(s string) (float64, error) {
 }
 
 func TestBuildReportEndpoint(t *testing.T) {
+	study(t).Campaign() // the report must show the campaign's stages
 	var out struct {
 		Stages []struct {
 			Name  string `json:"name"`
@@ -410,7 +414,8 @@ func TestBuildReportEndpoint(t *testing.T) {
 			t.Errorf("stage %s has zero calls", st.Name)
 		}
 	}
-	for _, want := range []string{"study.mapbuild", "study.riskmatrix", "study.campaign", "traceroute.synthesize"} {
+	for _, want := range []string{"study.mapbuild", "mapbuild.records_index", "mapbuild.step2_validate",
+		"mapbuild.step34_align", "study.riskmatrix", "study.campaign", "traceroute.synthesize"} {
 		if !names[want] {
 			t.Errorf("build report missing stage %s (have %v)", want, names)
 		}

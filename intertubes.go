@@ -115,8 +115,8 @@ type Study struct {
 // NewStudy builds the long-haul map (§2) and the risk matrix (§4.1).
 func NewStudy(opts Options) *Study {
 	opts = opts.withDefaults()
-	_, buildSpan := obs.Trace(context.Background(), "study.mapbuild")
-	res := mapbuilder.Build(mapbuilder.Options{
+	buildCtx, buildSpan := obs.Trace(context.Background(), "study.mapbuild")
+	res := mapbuilder.BuildCtx(buildCtx, mapbuilder.Options{
 		Seed: opts.Seed,
 		Records: records.Options{
 			Coverage:        opts.RecordsCoverage,

@@ -17,12 +17,10 @@ go test ./...
 
 # Tests must not depend on run order or on state a previous run left
 # behind: run the engine packages twice in one process, shuffled.
-# (internal/server is not yet listed: TestMetricsEndpoint and
-# TestBuildReportEndpoint rely on another test having run the study's
-# traceroute campaign.)
 echo "==> go test -count=2 -shuffle=on (engine packages)"
 go test -count=2 -shuffle=on ./internal/scenario ./internal/graph ./internal/resilience \
-	./internal/latency ./internal/fiber ./internal/jobs
+	./internal/latency ./internal/fiber ./internal/jobs ./internal/server \
+	./internal/records ./internal/mapbuilder
 
 echo "==> go test -race ./..."
 go test -race ./...
